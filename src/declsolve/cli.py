@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .client import ClientError, Live, RecordThrough, Replay
+from .client import DEFAULT_CREDENTIAL_ENV, DEFAULT_TIMEOUT, ClientError, Live, Replay
 from .evaluation import (
     RunConfig,
     load_algebra,
@@ -50,11 +50,14 @@ def _load_config(path: str | None) -> dict:
 
 
 def _run_config(args: argparse.Namespace, config: dict) -> RunConfig:
-    params = DecodingParams(
-        temperature=config.get("temperature", 0.0),
-        max_tokens=config.get("max_tokens", 600),
-        n_samples=config.get("n_samples", 1),
-    )
+    try:
+        params = DecodingParams(
+            temperature=config.get("temperature", 0.0),
+            max_tokens=config.get("max_tokens", 600),
+            n_samples=config.get("n_samples", 1),
+        )
+    except ValueError as err:
+        raise SystemExit(f"config: {err}")
     model = args.model or config.get("model", DEFAULT_MODEL)
     stop = tuple(config.get("stop_sequences", DEFAULT_STOP_SEQUENCES))
     return RunConfig(model=model, params=params, stop_sequences=stop)
@@ -62,8 +65,6 @@ def _run_config(args: argparse.Namespace, config: dict) -> RunConfig:
 
 def _client_mode(args: argparse.Namespace, config: dict):
     endpoint = getattr(args, "endpoint", None) or config.get("endpoint", DEFAULT_ENDPOINT)
-    credential_env = config.get("credential_env", "OPENAI_API_KEY")
-    timeout = config.get("timeout", 120.0)
     mode_name = args.mode
     if mode_name is None:
         mode_name = "replay" if args.cassette else "live"
@@ -71,11 +72,14 @@ def _client_mode(args: argparse.Namespace, config: dict):
         if not args.cassette:
             raise SystemExit("replay mode requires --cassette")
         return Replay(args.cassette)
-    if mode_name == "record":
-        if not args.cassette:
-            raise SystemExit("record mode requires --cassette")
-        return RecordThrough(endpoint, args.cassette, credential_env, timeout)
-    return Live(endpoint, credential_env, timeout)
+    if mode_name == "record" and not args.cassette:
+        raise SystemExit("record mode requires --cassette")
+    return Live(
+        endpoint=endpoint,
+        cassette_path=args.cassette if mode_name == "record" else None,
+        credential_env=config.get("credential_env", DEFAULT_CREDENTIAL_ENV),
+        timeout=config.get("timeout", DEFAULT_TIMEOUT),
+    )
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

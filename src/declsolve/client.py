@@ -1,13 +1,14 @@
 """Completion-endpoint client with record/replay cassettes.
 
-Three modes:
+Two modes:
 
 - Live: POST to an OpenAI-compatible ``/completions`` endpoint, with
-  bounded concurrency and exponential-backoff retries.
+  exponential-backoff retries.  Given a cassette, it records through:
+  requests already on the cassette are served from it, and fresh
+  completions are appended.  The caller's worker count is the only bound
+  on requests in flight.
 - Replay: serve completions from a cassette file; never touches the
   network (no endpoint is even configured).
-- RecordThrough: serve from the cassette when the request is already
-  recorded, otherwise call the endpoint and append the result.
 
 A cassette is newline-delimited JSON, one ``{fingerprint, model, params,
 completion}`` record per line, optionally preceded by a single
@@ -34,7 +35,6 @@ RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 2.0
 DEFAULT_TIMEOUT = 120.0
 DEFAULT_CREDENTIAL_ENV = "OPENAI_API_KEY"
-DEFAULT_MAX_IN_FLIGHT = 4
 
 _RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
@@ -88,11 +88,7 @@ def fingerprint(req: CompletionRequest) -> str:
         {
             "model": req.model,
             "prompt": req.prompt,
-            "params": {
-                "temperature": req.params.temperature,
-                "max_tokens": req.params.max_tokens,
-                "n_samples": req.params.n_samples,
-            },
+            "params": req.params.as_dict(),
             "stop": list(req.stop_sequences),
         },
         sort_keys=True,
@@ -150,11 +146,7 @@ def append_record(path: str | Path, req: CompletionRequest, completion: str) -> 
         {
             "fingerprint": fingerprint(req),
             "model": req.model,
-            "params": {
-                "temperature": req.params.temperature,
-                "max_tokens": req.params.max_tokens,
-                "n_samples": req.params.n_samples,
-            },
+            "params": req.params.as_dict(),
             "completion": completion,
         },
         sort_keys=True,
@@ -169,10 +161,18 @@ def append_record(path: str | Path, req: CompletionRequest, completion: str) -> 
 
 @dataclass(frozen=True)
 class Live:
+    """Call the endpoint.  With a cassette, record through it: serve
+    recorded requests from it and append fresh completions."""
+
     endpoint: str
+    cassette_path: str | None = None
     credential_env: str = DEFAULT_CREDENTIAL_ENV
     timeout: float = DEFAULT_TIMEOUT
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
+
+
+# The same class, for callers that name the recording case:
+# ``RecordThrough(endpoint, cassette_path)``.
+RecordThrough = Live
 
 
 @dataclass(frozen=True)
@@ -180,16 +180,7 @@ class Replay:
     cassette_path: str
 
 
-@dataclass(frozen=True)
-class RecordThrough:
-    endpoint: str
-    cassette_path: str
-    credential_env: str = DEFAULT_CREDENTIAL_ENV
-    timeout: float = DEFAULT_TIMEOUT
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
-
-
-ClientMode = Live | Replay | RecordThrough
+ClientMode = Live | Replay
 
 
 class Transport(Protocol):
@@ -203,12 +194,10 @@ def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) 
 
 
 # Cassette cache / per-path locks, so concurrent workers share one parsed
-# cassette and RecordThrough appends stay serialized.
+# cassette and record-through appends stay serialized.
 _CACHE_LOCK = threading.Lock()
 _CASSETTE_CACHE: dict[Path, Cassette] = {}
 _WRITER_LOCKS: dict[Path, threading.Lock] = {}
-_SEMAPHORE_LOCK = threading.Lock()
-_SEMAPHORES: dict[tuple[str, int], threading.BoundedSemaphore] = {}
 
 
 def _cassette_for(path: str | Path) -> Cassette:
@@ -234,14 +223,6 @@ def forget_cassette(path: str | Path) -> None:
         _CASSETTE_CACHE.pop(resolved, None)
 
 
-def _semaphore(endpoint: str, limit: int) -> threading.BoundedSemaphore:
-    with _SEMAPHORE_LOCK:
-        key = (endpoint, limit)
-        if key not in _SEMAPHORES:
-            _SEMAPHORES[key] = threading.BoundedSemaphore(limit)
-        return _SEMAPHORES[key]
-
-
 def _credential(env_name: str) -> str | None:
     import os
 
@@ -250,10 +231,7 @@ def _credential(env_name: str) -> str | None:
 
 def _live_call(
     req: CompletionRequest,
-    endpoint: str,
-    credential_env: str,
-    timeout: float,
-    max_in_flight: int,
+    mode: Live,
     transport: Transport,
     sleep: Callable[[float], None],
 ) -> str:
@@ -267,11 +245,10 @@ def _live_call(
     if req.stop_sequences:
         payload["stop"] = list(req.stop_sequences)
     headers = {"Content-Type": "application/json"}
-    key = _credential(credential_env)
+    key = _credential(mode.credential_env)
     if key:
         headers["Authorization"] = f"Bearer {key}"
 
-    gate = _semaphore(endpoint, max_in_flight)
     last_status: int | None = None
     last_body = ""
     timed_out = False
@@ -279,8 +256,7 @@ def _live_call(
         if attempt:
             sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
         try:
-            with gate:
-                status, body = transport(endpoint, payload, headers, timeout)
+            status, body = transport(mode.endpoint, payload, headers, mode.timeout)
         except (requests.Timeout, TimeoutError):
             timed_out = True
             last_status, last_body = None, "timeout"
@@ -300,7 +276,7 @@ def _live_call(
             continue
         raise EndpointError(status, body)
     if timed_out:
-        raise RequestTimeoutError(timeout)
+        raise RequestTimeoutError(mode.timeout)
     raise EndpointError(last_status, last_body)
 
 
@@ -313,49 +289,28 @@ def complete(
 ) -> str:
     """Resolve a completion request under the given mode.
 
-    Replay performs a pure cassette lookup — no transport is constructed
-    and no network name is ever resolved.  RecordThrough serves recorded
-    requests from the cassette (recording is idempotent) and appends fresh
-    completions under a per-file writer lock.
+    A cassette, Replay's or a recording Live's, is looked up first.  Replay
+    performs a pure lookup — no transport is constructed and no network name
+    is ever resolved.  Live records fresh completions on its cassette, if it
+    has one, under a per-file writer lock; recording is idempotent.
     """
-    if isinstance(mode, Replay):
-        cassette = _cassette_for(mode.cassette_path)
-        recorded = cassette.lookup(fingerprint(req))
-        if recorded is None:
-            raise CassetteMissError(fingerprint(req))
-        return recorded
+    if not isinstance(mode, (Live, Replay)):
+        raise TypeError(f"unknown client mode: {mode!r}")
 
-    if isinstance(mode, Live):
-        return _live_call(
-            req,
-            mode.endpoint,
-            mode.credential_env,
-            mode.timeout,
-            mode.max_in_flight,
-            transport or _requests_transport,
-            sleep,
-        )
-
-    if isinstance(mode, RecordThrough):
+    if mode.cassette_path is not None:
         digest = fingerprint(req)
         cassette = _cassette_for(mode.cassette_path)
         recorded = cassette.lookup(digest)
         if recorded is not None:
             return recorded
-        completion = _live_call(
-            req,
-            mode.endpoint,
-            mode.credential_env,
-            mode.timeout,
-            mode.max_in_flight,
-            transport or _requests_transport,
-            sleep,
-        )
+        if isinstance(mode, Replay):
+            raise CassetteMissError(digest)
+
+    completion = _live_call(req, mode, transport or _requests_transport, sleep)
+    if mode.cassette_path is not None:
         with _writer_lock(mode.cassette_path):
             # Re-check under the lock: another worker may have recorded it.
             if cassette.lookup(digest) is None:
                 append_record(mode.cassette_path, req, completion)
                 cassette.entries[digest] = completion
-        return completion
-
-    raise TypeError(f"unknown client mode: {mode!r}")
+    return completion

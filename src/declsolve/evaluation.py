@@ -19,12 +19,12 @@ import csv
 import io
 import json
 import re
-import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .client import ClientError, ClientMode, CompletionRequest, Transport, complete
 from .exprs import ExprError, Var, format_rational, free_vars
@@ -396,11 +396,7 @@ def _config_snapshot(spec: PromptSpec, config: RunConfig, dataset: str) -> dict[
         "variant": spec.variant,
         "dataset": dataset,
         "model": config.model,
-        "params": {
-            "temperature": config.params.temperature,
-            "max_tokens": config.params.max_tokens,
-            "n_samples": config.params.n_samples,
-        },
+        "params": config.params.as_dict(),
         "stop_sequences": list(config.stop_sequences),
         "prompt_spec_sha256": _spec_digest(spec),
         "seed": None,
@@ -421,26 +417,6 @@ def _aggregate(
     return RunReport(spec_variant, dataset, solve_rate, histogram, tuple(records), snapshot)
 
 
-class _OrderedWriter:
-    """Funnel for out-of-order worker results: emits in dataset order."""
-
-    def __init__(self, sink: Callable[[EvalRecord], None]):
-        self._sink = sink
-        self._pending: dict[int, EvalRecord] = {}
-        self._next = 0
-        self._lock = threading.Lock()
-        self.emitted: list[EvalRecord] = []
-
-    def push(self, index: int, record: EvalRecord) -> None:
-        with self._lock:
-            self._pending[index] = record
-            while self._next in self._pending:
-                ready = self._pending.pop(self._next)
-                self._sink(ready)
-                self.emitted.append(ready)
-                self._next += 1
-
-
 def run_eval(
     problems: Sequence[Problem],
     spec: PromptSpec,
@@ -457,6 +433,8 @@ def run_eval(
 
     Records stream to ``out_dir/records.jsonl`` in dataset order as they
     are produced.  An existing records file is refused unless ``force``.
+    ``workers`` threads solve problems concurrently; it is also the bound
+    on completion requests in flight.
     """
     if not problems:
         raise ValueError("dataset is empty")
@@ -475,34 +453,26 @@ def run_eval(
         handle.write(json.dumps({"meta": snapshot}, sort_keys=True, ensure_ascii=False) + "\n")
         handle.flush()
 
-    def sink(record: EvalRecord) -> None:
-        if handle is not None:
-            handle.write(_record_line(record) + "\n")
-            handle.flush()
+    def solve(problem: Problem) -> EvalRecord:
+        # run_problem is looked up at call time, so a wrapper installed on
+        # this module (to time or trace each problem) sees every call.
+        return run_problem(problem, spec, config, mode, transport=transport)
 
-    writer = _OrderedWriter(sink)
+    records: list[EvalRecord] = []
     try:
-        if workers <= 1:
-            for index, problem in enumerate(problems):
-                writer.push(index, run_problem(problem, spec, config, mode, transport=transport))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(
-                        run_problem, problem, spec, config, mode, transport=transport
-                    ): index
-                    for index, problem in enumerate(problems)
-                }
-                remaining = set(futures)
-                while remaining:
-                    done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        writer.push(futures[future], future.result())
+        # Both maps yield in dataset order, so each record is written as
+        # soon as every record before it is done.
+        with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+            for record in (map if pool is None else pool.map)(solve, problems):
+                records.append(record)
+                if handle is not None:
+                    handle.write(_record_line(record) + "\n")
+                    handle.flush()
     finally:
         if handle is not None:
             handle.close()
 
-    report = _aggregate(writer.emitted, spec.variant, dataset_name, snapshot)
+    report = _aggregate(records, spec.variant, dataset_name, snapshot)
     if out_dir is not None:
         emit_report(report, out_dir, formats=("table", "csv"))
     return report

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Any
 
 from .parsing import ParseError, ScriptError, extract_brackets, script_from_transcript
 
@@ -110,8 +111,16 @@ class DecodingParams:
     def __post_init__(self):
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        if self.n_samples != 1:
+            raise ValueError("n_samples must be 1: only the first completion is read")
+
+    def as_dict(self) -> dict[str, Any]:
+        """The params as fingerprints, cassettes and run metadata record them."""
+        return {
+            "temperature": self.temperature,
+            "max_tokens": self.max_tokens,
+            "n_samples": self.n_samples,
+        }
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,22 @@ def test_eval_reads_config_file(tmp_path, capsys):
     assert "solve rate 72.0%" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"max_tokens": 0}, "config: max_tokens must be positive"),
+        ({"n_samples": 2}, "config: n_samples must be 1: only the first completion is read"),
+    ],
+)
+def test_eval_rejects_bad_config_value_in_one_line(tmp_path, bad, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(bad))
+    with pytest.raises(SystemExit) as info:
+        main(_eval_args(tmp_path / "out", ["--config", str(config)]))
+    assert info.value.code == message
+    assert not (tmp_path / "out").exists()
+
+
 # --- console script --------------------------------------------------------
 
 def _declared_script(name):

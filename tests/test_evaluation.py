@@ -1,10 +1,12 @@
 import json
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
 import declsolve.evaluation as ev
-from declsolve.client import CompletionRequest, Replay, append_record
+from declsolve.client import CompletionRequest, Live, Replay, append_record
 from declsolve.evaluation import (
     CLIENT_FAILURE,
     CORRECT,
@@ -322,6 +324,43 @@ def test_run_eval_worker_count_never_changes_results(tmp_path):
     assert r1.histogram == r8.histogram
     assert r1.solve_rate == r8.solve_rate
     assert (out1 / "records.jsonl").read_bytes() == (out8 / "records.jsonl").read_bytes()
+
+
+def test_run_eval_workers_bound_requests_in_flight():
+    problems = [Problem(f"q{i}", f"Question {i}?", F(14)) for i in range(8)]
+    all_in_flight = threading.Barrier(8, timeout=5)
+
+    def transport(url, payload, headers, timeout):
+        all_in_flight.wait()  # breaks unless 8 calls are in flight at once
+        return 200, json.dumps({"choices": [{"text": GOOD}]})
+
+    report = run_eval(
+        problems, SPEC, Live("https://example.invalid"), CONFIG, workers=8, transport=transport
+    )
+    assert report.histogram[CORRECT] == len(problems)
+
+
+def test_run_eval_writes_dataset_order_when_calls_finish_out_of_order(tmp_path):
+    problems = [Problem(f"q{i}", f"Question {i}?", F(14)) for i in range(8)]
+    delay = {
+        assemble_prompt(SPEC, p.question): 0.02 * (len(problems) - i)
+        for i, p in enumerate(problems)
+    }
+    finished = []
+
+    def transport(url, payload, headers, timeout):
+        time.sleep(delay[payload["prompt"]])  # earlier problems answer later
+        finished.append(payload["prompt"])
+        return 200, json.dumps({"choices": [{"text": GOOD}]})
+
+    out = tmp_path / "out"
+    run_eval(
+        problems, SPEC, Live("https://example.invalid"), CONFIG,
+        workers=4, out_dir=out, transport=transport,
+    )
+    assert finished != [assemble_prompt(SPEC, p.question) for p in problems]
+    lines = (out / "records.jsonl").read_text().splitlines()
+    assert [json.loads(line)["id"] for line in lines[1:]] == [p.id for p in problems]
 
 
 def test_run_eval_rejects_empty_dataset(tmp_path):

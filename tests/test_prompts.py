@@ -42,6 +42,8 @@ def test_decoding_params_validation():
         DecodingParams(max_tokens=0)
     with pytest.raises(ValueError):
         DecodingParams(n_samples=0)
+    with pytest.raises(ValueError, match="only the first completion is read"):
+        DecodingParams(n_samples=2)
 
 
 def test_stop_sequence_guards_against_runaway_exemplars():
