@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
-import requests
-
 from .prompts import DEFAULT_STOP_SEQUENCES, DecodingParams
 
 RETRY_ATTEMPTS = 3
@@ -189,7 +187,15 @@ class Transport(Protocol):
 
 
 def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, str]:
-    response = requests.post(url, json=payload, headers=headers, timeout=timeout)
+    # Imported here: it is most of the package's import time, and only a
+    # live call needs it.  Its errors are OSErrors; a timeout is re-raised as
+    # the builtin TimeoutError, so callers catch builtins only.
+    import requests
+
+    try:
+        response = requests.post(url, json=payload, headers=headers, timeout=timeout)
+    except requests.Timeout as err:
+        raise TimeoutError(str(err)) from err
     return response.status_code, response.text
 
 
@@ -257,11 +263,11 @@ def _live_call(
             sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
         try:
             status, body = transport(mode.endpoint, payload, headers, mode.timeout)
-        except (requests.Timeout, TimeoutError):
+        except TimeoutError:
             timed_out = True
             last_status, last_body = None, "timeout"
             continue
-        except (requests.RequestException, ConnectionError, OSError) as err:
+        except OSError as err:  # ConnectionError, requests.RequestException
             last_status, last_body = None, str(err)
             continue
         timed_out = False

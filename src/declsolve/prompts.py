@@ -109,6 +109,16 @@ class DecodingParams:
     n_samples: int = 1
 
     def __post_init__(self):
+        # Values may come straight from a JSON config file; bool is an int
+        # subclass but never a meaningful count or temperature.
+        for name in ("max_tokens", "n_samples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+        if isinstance(self.temperature, bool) or not isinstance(self.temperature, (int, float)):
+            raise ValueError(
+                f"temperature must be a real number, not {type(self.temperature).__name__}"
+            )
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
         if self.n_samples != 1:

@@ -3,8 +3,11 @@
 Strategy pipeline, cheapest first:
 
 1. forward substitution to a fixpoint, which fully dispatches procedural
-   chains (`a = 2`, `b = a + 1`, ...);
-2. exact Gaussian elimination when the residual is linear;
+   chains (`a = 2`, `b = a + 1`, ...).  It is event-driven: each binding is
+   substituted only into the equations that use it, and only those are
+   visited again, so a chain costs time linear in its length in any order;
+2. exact fraction-free Gauss-Jordan elimination (Bareiss) over the integers
+   when the residual is linear;
 3. isolating a univariate equation (exact for degree <= 2, a bisection /
    Newton hybrid beyond) and branching over its roots.
 
@@ -15,6 +18,7 @@ from one stays tagged approximate.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,16 +139,6 @@ class SolveOutcome:
     trace: tuple[str, ...]
 
 
-def _is_evaluable(expr: Expr, bindings: dict[str, Fraction]) -> bool:
-    return free_vars(expr) <= bindings.keys()
-
-
-def _substitute_bindings(expr: Expr, bindings: dict[str, Fraction]) -> Expr:
-    for name in free_vars(expr) & bindings.keys():
-        expr = substitute(expr, name, Num(bindings[name]))
-    return expr
-
-
 def forward_substitute(
     system: EquationSystem,
 ) -> tuple[dict[str, Fraction], EquationSystem]:
@@ -155,44 +149,77 @@ def forward_substitute(
     Ground equations are checked and dropped; a contradiction raises
     InconsistentBindingError.  Returns the bindings and the residual system
     (remaining equations with bound variables substituted away).
+
+    The result is that of sweeping the equations in order, round after
+    round, until a round changes nothing, but only the visits that can
+    change something are made.  One in-order pass visits every equation.
+    After it, binding `v` while visiting equation `i` in round `r` schedules
+    each pending equation `k` that uses `v` for round `r` if `k > i`, else
+    for round `r + 1`, and visits run in (round, index) order.  So the
+    bindings, the residual and the first error are those of the full sweep,
+    and each binding is substituted once, into the equations that use it.
     """
     bindings: dict[str, Fraction] = {}
-    pending = list(system.equations)
-    changed = True
-    while changed:
-        changed = False
-        remaining = []
-        for lhs, rhs in pending:
-            lhs_sub = _substitute_bindings(lhs, bindings)
-            rhs_sub = _substitute_bindings(rhs, bindings)
-            lhs_ground = _is_evaluable(lhs_sub, bindings)
-            rhs_ground = _is_evaluable(rhs_sub, bindings)
-            if lhs_ground and rhs_ground:
-                left_value = eval_exact(lhs_sub)
-                right_value = eval_exact(rhs_sub)
-                if left_value != right_value:
-                    name = lhs.name if isinstance(lhs, Var) else (
-                        rhs.name if isinstance(rhs, Var) else None
-                    )
-                    raise InconsistentBindingError(name, left_value, right_value)
-                changed = True  # equation dispatched
-                continue
-            if isinstance(lhs_sub, Var) and rhs_ground:
-                bindings[lhs_sub.name] = eval_exact(rhs_sub)
-                changed = True
-                continue
-            if isinstance(rhs_sub, Var) and lhs_ground:
-                bindings[rhs_sub.name] = eval_exact(lhs_sub)
-                changed = True
-                continue
-            remaining.append((lhs, rhs))
-        pending = remaining
-    residual_equations = tuple(
-        (_substitute_bindings(lhs, bindings), _substitute_bindings(rhs, bindings))
-        for lhs, rhs in pending
-    )
+    # index -> [lhs, rhs, unbound lhs names, unbound rhs names], in index order
+    pending: dict[int, list] = {}
+    users: dict[str, list[int]] = {}  # name -> pending equations using it
+    revisits: list[tuple[int, int]] = []  # heap of (round, index)
+    queued: set[int] = set()
+
+    def visit(round_: int, index: int) -> None:
+        lhs, rhs, free_lhs, free_rhs = pending[index]
+        if not free_lhs and not free_rhs:
+            left_value = eval_exact(lhs)
+            right_value = eval_exact(rhs)
+            if left_value != right_value:
+                lhs, rhs = system.equations[index]
+                name = lhs.name if isinstance(lhs, Var) else (
+                    rhs.name if isinstance(rhs, Var) else None
+                )
+                raise InconsistentBindingError(name, left_value, right_value)
+            del pending[index]
+            return
+        if isinstance(lhs, Var) and not free_rhs:
+            name, value = lhs.name, eval_exact(rhs)
+        elif isinstance(rhs, Var) and not free_lhs:
+            name, value = rhs.name, eval_exact(lhs)
+        else:
+            return
+        del pending[index]
+        bindings[name] = value
+        waiting = [user for user in users.pop(name, ()) if user in pending]
+        replacement = Num(value) if waiting else None
+        for user in waiting:
+            state = pending[user]
+            for side in (0, 1):
+                if name in state[side + 2]:
+                    state[side] = substitute(state[side], name, replacement)
+                    state[side + 2].discard(name)
+            if user not in queued:
+                queued.add(user)
+                heapq.heappush(revisits, (round_ if user > index else round_ + 1, user))
+
+    for index, (lhs, rhs) in enumerate(system.equations):
+        free_lhs = free_vars(lhs)
+        free_rhs = free_vars(rhs)
+        for name in free_lhs & bindings.keys():
+            lhs = substitute(lhs, name, Num(bindings[name]))
+        for name in free_rhs & bindings.keys():
+            rhs = substitute(rhs, name, Num(bindings[name]))
+        free_lhs -= bindings.keys()
+        free_rhs -= bindings.keys()
+        pending[index] = [lhs, rhs, free_lhs, free_rhs]
+        visit(0, index)
+        if index in pending:
+            for name in free_lhs | free_rhs:
+                users.setdefault(name, []).append(index)
+    while revisits:
+        round_, index = heapq.heappop(revisits)
+        queued.discard(index)
+        visit(round_, index)
+
     residual = EquationSystem(
-        residual_equations,
+        tuple((lhs, rhs) for lhs, rhs, _, _ in pending.values()),
         frozenset(system.unknowns - bindings.keys()),
         system.goal,
     )
@@ -200,44 +227,48 @@ def forward_substitute(
 
 
 def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
-    """Exact Gaussian elimination with partial pivoting.
+    """Exact fraction-free Gauss-Jordan elimination (Bareiss 1968).
 
-    Returns the full solution for a full-rank system.  For a rank-deficient
-    system whose reduced form still pins individual variables, returns the
-    pinned subset provided the goal is in it; otherwise raises
-    UnderdeterminedError.  Raises InconsistentError on a `0 = nonzero` row
-    and NonLinearError if any equation is not linear.
+    Each row is scaled to integers by the lcm of its denominators; each
+    elimination step then divides exactly by the previous pivot, so entries
+    stay integers the size of minors of the scaled matrix.  Returns the full
+    solution for a full-rank system.  For a rank-deficient system whose
+    reduced form still pins individual variables, returns the pinned subset
+    provided the goal is in it; otherwise raises UnderdeterminedError.
+    Raises InconsistentError on a `0 = nonzero` row and NonLinearError if
+    any equation is not linear.  The pinned values and the errors depend
+    only on the row space, not on the pivots chosen.
     """
     variables = sorted(system.unknowns)
     column = {name: i for i, name in enumerate(variables)}
     width = len(variables)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for lhs, rhs in system.equations:
         form = linear_form(Sub(lhs, rhs))
         row = [Fraction(0)] * (width + 1)
         for name, coeff in form.coefficients.items():
             row[column[name]] = coeff
         row[width] = -form.constant
-        rows.append(row)
+        common = math.lcm(*(value.denominator for value in row))
+        rows.append([value.numerator * (common // value.denominator) for value in row])
 
     pivots: list[tuple[int, int]] = []  # (row, column)
     pivot_row = 0
+    previous = 1
     for col in range(width):
-        best = -1
-        best_abs = Fraction(0)
-        for r in range(pivot_row, len(rows)):
-            magnitude = abs(rows[r][col])
-            if magnitude > best_abs:
-                best, best_abs = r, magnitude
-        if best < 0:
+        found = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        if found is None:
             continue
-        rows[pivot_row], rows[best] = rows[best], rows[pivot_row]
-        scale = rows[pivot_row][col]
-        rows[pivot_row] = [v / scale for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
+        pivot = rows[pivot_row]
+        head = pivot[col]
+        # Every other row, even one already zero in `col`: the division by
+        # the previous pivot is exact only while all rows share its scale.
+        for r, row in enumerate(rows):
+            if r != pivot_row:
+                factor = row[col]
+                rows[r] = [(head * a - factor * b) // previous for a, b in zip(row, pivot)]
+        previous = head
         pivots.append((pivot_row, col))
         pivot_row += 1
 
@@ -248,7 +279,7 @@ def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
     pinned: dict[str, Fraction] = {}
     for r, col in pivots:
         if all(rows[r][c] == 0 for c in range(width) if c != col):
-            pinned[variables[col]] = rows[r][width]
+            pinned[variables[col]] = Fraction(rows[r][width], rows[r][col])
 
     if len(pinned) == len(variables):
         return pinned

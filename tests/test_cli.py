@@ -171,6 +171,7 @@ def test_eval_reads_config_file(tmp_path, capsys):
     [
         ({"max_tokens": 0}, "config: max_tokens must be positive"),
         ({"n_samples": 2}, "config: n_samples must be 1: only the first completion is read"),
+        ({"max_tokens": "600"}, "config: max_tokens must be an integer, not str"),
     ],
 )
 def test_eval_rejects_bad_config_value_in_one_line(tmp_path, bad, message):

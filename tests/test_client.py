@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
+import requests
 
+import declsolve
 from declsolve.client import (
+    RETRY_ATTEMPTS,
     Cassette,
     CassetteMissError,
     CompletionRequest,
@@ -204,6 +211,39 @@ def test_live_timeout_surfaces_after_retries():
     transport = FakeTransport([TimeoutError(), TimeoutError(), TimeoutError()])
     with pytest.raises(RequestTimeoutError):
         complete(req(), Live("https://example.invalid"), transport=transport, sleep=no_sleep)
+
+
+@pytest.mark.parametrize(
+    "error, surfaced",
+    [
+        (requests.Timeout("read timed out"), RequestTimeoutError),
+        (requests.ConnectionError("connection refused"), EndpointError),
+    ],
+)
+def test_live_default_transport_retries_requests_errors(monkeypatch, error, surfaced):
+    calls = []
+
+    def post(url, **kwargs):
+        calls.append(url)
+        raise error
+
+    monkeypatch.setattr(requests, "post", post)
+    with pytest.raises(surfaced):
+        complete(req(), Live("https://example.invalid"), sleep=no_sleep)
+    assert len(calls) == RETRY_ATTEMPTS
+
+
+def test_import_does_not_load_requests(tmp_path):
+    """Replay, `check` and `solve --cassette` never need the HTTP library."""
+    src = Path(declsolve.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, declsolve, declsolve.cli; print('requests' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_live_malformed_body_is_an_endpoint_error():

@@ -44,6 +44,13 @@ def test_decoding_params_validation():
         DecodingParams(n_samples=0)
     with pytest.raises(ValueError, match="only the first completion is read"):
         DecodingParams(n_samples=2)
+    with pytest.raises(ValueError, match="max_tokens must be an integer"):
+        DecodingParams(max_tokens="600")
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        DecodingParams(n_samples=True)
+    with pytest.raises(ValueError, match="temperature must be a real number"):
+        DecodingParams(temperature="0.7")
+    assert DecodingParams(temperature=1, max_tokens=32).as_dict()["temperature"] == 1
 
 
 def test_stop_sequence_guards_against_runaway_exemplars():

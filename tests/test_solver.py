@@ -1,10 +1,26 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from declsolve.exprs import Div, Mul, Num, Pow, Sub, Var, eval_exact
+from declsolve import solver
+from declsolve.exprs import (
+    Add,
+    Div,
+    ExprError,
+    Mul,
+    Neg,
+    Num,
+    Pow,
+    Sub,
+    Var,
+    eval_exact,
+    free_vars,
+    substitute,
+)
 from declsolve.parsing import script_from_transcript
 from declsolve.solver import (
     EquationSystem,
@@ -12,6 +28,7 @@ from declsolve.solver import (
     InconsistentError,
     NoRealRootError,
     SolveOutcome,
+    SolverError,
     UnderdeterminedError,
     UnsolvableError,
     forward_substitute,
@@ -63,6 +80,152 @@ def test_forward_substitution_leaves_simultaneous_equations():
     bindings, residual = forward_substitute(system)
     assert bindings == {}
     assert len(residual.equations) == 2
+
+
+def _reference_forward_substitute(system):
+    """The round-based forward substitution: every round re-substitutes and
+    re-checks every pending equation, until a round changes nothing."""
+
+    def evaluable(expr, bindings):
+        return free_vars(expr) <= bindings.keys()
+
+    def substitute_bindings(expr, bindings):
+        for name in free_vars(expr) & bindings.keys():
+            expr = substitute(expr, name, Num(bindings[name]))
+        return expr
+
+    bindings = {}
+    pending = list(system.equations)
+    changed = True
+    while changed:
+        changed = False
+        remaining = []
+        for lhs, rhs in pending:
+            lhs_sub = substitute_bindings(lhs, bindings)
+            rhs_sub = substitute_bindings(rhs, bindings)
+            lhs_ground = evaluable(lhs_sub, bindings)
+            rhs_ground = evaluable(rhs_sub, bindings)
+            if lhs_ground and rhs_ground:
+                left_value = eval_exact(lhs_sub)
+                right_value = eval_exact(rhs_sub)
+                if left_value != right_value:
+                    name = lhs.name if isinstance(lhs, Var) else (
+                        rhs.name if isinstance(rhs, Var) else None
+                    )
+                    raise InconsistentBindingError(name, left_value, right_value)
+                changed = True
+                continue
+            if isinstance(lhs_sub, Var) and rhs_ground:
+                bindings[lhs_sub.name] = eval_exact(rhs_sub)
+                changed = True
+                continue
+            if isinstance(rhs_sub, Var) and lhs_ground:
+                bindings[rhs_sub.name] = eval_exact(lhs_sub)
+                changed = True
+                continue
+            remaining.append((lhs, rhs))
+        pending = remaining
+    residual = EquationSystem(
+        tuple(
+            (substitute_bindings(lhs, bindings), substitute_bindings(rhs, bindings))
+            for lhs, rhs in pending
+        ),
+        frozenset(system.unknowns - bindings.keys()),
+        system.goal,
+    )
+    return bindings, residual
+
+
+_NAMES = [f"v{i}" for i in range(7)]
+# `^-1` of a zero and `^(1/2)` raise, as `/` by zero does.
+_EXPONENTS = st.sampled_from([Num(-1), Num(0), Num(2), Div(Num(1), Num(2))])
+
+
+def _expressions(names):
+    leaves = st.one_of(st.sampled_from(names).map(Var), st.integers(0, 5).map(Num))
+    return st.recursive(
+        leaves,
+        lambda child: st.one_of(
+            st.builds(Neg, child),
+            st.builds(Add, child, child),
+            st.builds(Sub, child, child),
+            st.builds(Mul, child, child),
+            st.builds(Div, child, child),
+            st.builds(Pow, child, _EXPONENTS),
+        ),
+        max_leaves=4,
+    )
+
+
+# Built once: _EXPRESSIONS[k] ranges over the first k names (k = 0: numerals).
+_EXPRESSIONS = [st.integers(0, 5).map(Num)] + [
+    _expressions(_NAMES[:k]) for k in range(1, len(_NAMES) + 1)
+]
+
+
+@st.composite
+def _substitution_systems(draw):
+    """`v = expr`, `expr = v` and `expr = expr` equations over up to 7 names,
+    as drawn, or as a chain in shuffled order (several rounds of binding)."""
+    count = draw(st.integers(1, len(_NAMES)))
+    names = _NAMES[:count]
+    exprs = _EXPRESSIONS[count]
+    if draw(st.booleans()):
+        variables = st.sampled_from(names).map(Var)
+        equation = st.one_of(
+            st.tuples(variables, exprs),
+            st.tuples(exprs, variables),
+            st.tuples(exprs, exprs),
+        )
+        equations = draw(st.lists(equation, max_size=9))
+    else:
+        equations = [(Var(name), draw(_EXPRESSIONS[i])) for i, name in enumerate(names)]
+        equations += draw(st.lists(st.tuples(exprs, exprs), max_size=2))
+        equations = draw(st.permutations(equations))
+    return EquationSystem(tuple(equations), frozenset(names), names[0])
+
+
+def _substitution_outcome(function, system):
+    try:
+        bindings, residual = function(system)
+    except (SolverError, ExprError) as err:
+        return type(err), str(err)
+    return list(bindings.items()), residual
+
+
+@settings(max_examples=400, deadline=None)
+@given(_substitution_systems())
+def test_forward_substitution_matches_round_based_reference(system):
+    """Same bindings in the same order, the same residual equations in the
+    same order, or the same first error with the same message."""
+    assert _substitution_outcome(forward_substitute, system) == _substitution_outcome(
+        _reference_forward_substitute, system
+    )
+
+
+def test_forward_substitution_is_linear_on_a_reversed_chain(monkeypatch):
+    """A chain given last link first binds one variable per round; each
+    binding must still be substituted once, into the one equation using it."""
+    n = 400
+    names = [f"v{i}" for i in range(n)]
+    chain = [(Var(names[0]), Num(7))] + [
+        (Var(names[i]), Add(Var(names[i - 1]), Num(i % 5 + 1))) for i in range(1, n)
+    ]
+    system = EquationSystem(tuple(reversed(chain)), frozenset(names), names[-1])
+
+    calls = Counter()
+    for name in ("free_vars", "substitute"):
+        def counted(*args, _name=name, _original=getattr(solver, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    bindings, residual = forward_substitute(system)
+
+    assert bindings[names[-1]] == 7 + sum(i % 5 + 1 for i in range(1, n))
+    assert residual.equations == ()
+    assert calls["free_vars"] <= 2 * n
+    assert calls["substitute"] <= n
 
 
 # --- linear elimination --------------------------------------------------------
@@ -143,6 +306,126 @@ def test_solve_linear_recovers_constructed_solutions():
         size = rng.randint(1, 4)
         system, solution = _random_full_rank_system(rng, size)
         assert solve_linear(system) == solution
+
+
+# SymPy's rref as an independent oracle for what solve_linear must return.
+
+def _linear_system(rows, goal_index):
+    width = len(rows[0]) - 1
+    names = [f"x{i}" for i in range(width)]
+    equations = []
+    for row in rows:
+        lhs = Num(0)
+        for coeff, name in zip(row, names):
+            if coeff:
+                lhs = Add(lhs, Mul(Num(coeff), Var(name)))
+        equations.append((lhs, Num(row[width])))
+    return EquationSystem(tuple(equations), frozenset(names), names[goal_index])
+
+
+def _sympy_linear_outcome(sympy, system, rows):
+    """Pinned values from the reduced row echelon form, or the error type."""
+    names = sorted(system.unknowns)
+    width = len(names)
+    matrix = sympy.Matrix(
+        [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]
+    )
+    reduced, pivot_columns = matrix.rref()
+    if width in pivot_columns:
+        return InconsistentError
+    pinned = {}
+    for r, col in enumerate(pivot_columns):
+        if all(reduced[r, c] == 0 for c in range(width) if c != col):
+            value = reduced[r, width]
+            pinned[names[col]] = F(int(value.p), int(value.q))
+    if len(pinned) == width or system.goal in pinned:
+        return pinned
+    return UnderdeterminedError
+
+
+def _mix(rng, rows, extra):
+    """Rows with the same row space: a unit lower triangular combination of
+    `rows`, shuffled, plus `extra` random combinations of them."""
+    mixed = []
+    for i, row in enumerate(rows):
+        out = list(row)
+        for earlier in rows[:i]:
+            factor = F(rng.randint(-3, 3), rng.randint(1, 3))
+            out = [a + factor * b for a, b in zip(out, earlier)]
+        mixed.append(out)
+    for _ in range(extra):
+        out = [F(0)] * len(rows[0])
+        for row in rows:
+            factor = F(rng.randint(-3, 3), rng.randint(1, 3))
+            out = [a + factor * b for a, b in zip(out, row)]
+        mixed.append(out)
+    rng.shuffle(mixed)
+    return mixed
+
+
+def _unit_row(width, column, value):
+    row = [F(0)] * (width + 1)
+    row[column] = F(1)
+    row[width] = value
+    return row
+
+
+def _random_linear_rows(rng, kind, width, goal):
+    """Rows of one of four kinds, with Fraction coefficients."""
+    def coefficient():
+        return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+    if kind in ("full-rank", "inconsistent"):
+        rows = []
+        for column in range(width):
+            scale = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+            rows.append([scale * v for v in _unit_row(width, column, coefficient())])
+        rows = _mix(rng, rows, rng.randint(0, 2))
+        if kind == "inconsistent":
+            combined = _mix(rng, rows, 1)[0]
+            combined[width] += F(rng.randint(1, 5), rng.randint(1, 3))
+            rows.append(combined)
+        return rows
+    others = [c for c in range(width) if c != goal]
+    rng.shuffle(others)
+    rows = [_unit_row(width, goal, coefficient())]
+    if kind == "goal-free":  # the goal only ever appears together with one other unknown
+        rows[0][others.pop()] = coefficient() or F(1)
+    for a, b in zip(others[::2], others[1::2]):
+        row = [F(0)] * (width + 1)
+        row[a], row[b], row[width] = coefficient() or F(1), coefficient() or F(1), coefficient()
+        rows.append(row)
+    if len(others) % 2:
+        rows.append(_unit_row(width, others[-1], coefficient()))
+    return _mix(rng, rows, rng.randint(0, 2))
+
+
+_EXPECTED_KIND = {
+    "full-rank": dict,
+    "goal-pinned": dict,
+    "goal-free": UnderdeterminedError,
+    "inconsistent": InconsistentError,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EXPECTED_KIND))
+def test_solve_linear_agrees_with_sympy_rref(kind):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"solve-linear-{kind}")
+    for _ in range(40):
+        width = rng.randint({"goal-pinned": 3, "goal-free": 2}.get(kind, 1), 6)
+        goal = rng.randrange(width)
+        rows = _random_linear_rows(rng, kind, width, goal)
+        system = _linear_system(rows, goal)
+        expected = _sympy_linear_outcome(sympy, system, rows)
+        if isinstance(expected, dict):
+            assert _EXPECTED_KIND[kind] is dict
+            assert (len(expected) == width) == (kind == "full-rank")
+            assert solve_linear(system) == expected
+        else:
+            assert expected is _EXPECTED_KIND[kind]
+            with pytest.raises(expected):
+                solve_linear(system)
 
 
 # --- univariate -----------------------------------------------------------------
