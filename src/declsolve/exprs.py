@@ -1,7 +1,7 @@
 """Arithmetic expression trees over exact rationals.
 
 Every value in the pipeline is a `fractions.Fraction` (aliased `Rational`),
-so evaluation, substitution and linear-form extraction never round.  Trees
+so evaluation, substitution and polynomial expansion never round.  Trees
 are immutable and are never simplified on construction: `x + 0` stays
 `x + 0` so that parsed text round-trips exactly.  Simplification belongs to
 the solver.
@@ -20,9 +20,12 @@ RationalLike = Union[Fraction, int]
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Bound on |exponent| during exact evaluation.  Word-problem equations use
-# tiny powers; anything near this limit is an adversarial transcript.
+# Bounds on every exact power.  Word-problem equations use tiny powers;
+# anything near these limits is an adversarial transcript.  The result-size
+# cap, in bits, stays below CPython's default 4,300-digit limit on int-to-str
+# conversion (about 14,284 bits), so any folded power can still be printed.
 MAX_EXPONENT = 10_000
+MAX_POWER_BITS = 14_000
 
 
 class ExprError(Exception):
@@ -190,14 +193,23 @@ def eval_exact(expr: Expr, bindings: Mapping[str, RationalLike] | None = None) -
         exponent = eval_exact(expr.exponent, bindings)
         if exponent.denominator != 1:
             raise NonIntegerExponentError(exponent)
-        power = int(exponent)
-        if abs(power) > MAX_EXPONENT:
-            raise ExponentTooLargeError(power)
-        base = eval_exact(expr.base, bindings)
-        if base == 0 and power < 0:
-            raise DivisionByZeroError("zero raised to a negative power")
-        return base ** power
+        return exact_power(eval_exact(expr.base, bindings), int(exponent))
     raise TypeError(f"unknown node: {type(expr).__name__}")
+
+
+def exact_power(base: Fraction, power: int) -> Fraction:
+    """`base ** power`, the one rule every exact power goes through.
+
+    Raises ExponentTooLargeError when |power| exceeds MAX_EXPONENT or the
+    result could exceed MAX_POWER_BITS, and DivisionByZeroError for zero
+    to a negative power.
+    """
+    size = base.numerator.bit_length() + base.denominator.bit_length()
+    if abs(power) > MAX_EXPONENT or size * abs(power) > MAX_POWER_BITS:
+        raise ExponentTooLargeError(power)
+    if base == 0 and power < 0:
+        raise DivisionByZeroError("zero raised to a negative power")
+    return base**power
 
 
 def substitute(expr: Expr, var: str, replacement: Expr) -> Expr:
@@ -268,72 +280,110 @@ class LinearForm:
         return total
 
 
-def _lf(coefficients: dict[str, Fraction], constant: Fraction) -> LinearForm:
-    return LinearForm({n: c for n, c in coefficients.items() if c != 0}, constant)
+# A monomial is a sorted tuple of (name, power) pairs; the constant one is ().
+Monomial = tuple[tuple[str, int], ...]
 
 
-def _lf_combine(a: LinearForm, b: LinearForm, sign: int) -> LinearForm:
-    coeffs = dict(a.coefficients)
-    for name, coeff in b.coefficients.items():
-        coeffs[name] = coeffs.get(name, Fraction(0)) + sign * coeff
-    return _lf(coeffs, a.constant + sign * b.constant)
+def polynomial(expr: Expr, max_degree: int) -> dict[Monomial, Fraction]:
+    """Expand `expr` into {monomial: coefficient}, with no zero coefficients.
+
+    Raises NonLinearError when `expr` is not a polynomial (division by, or
+    an exponent that is, anything but a constant; a non-integer exponent; a
+    negative power of a variable-bearing base) or when a product at any
+    step would exceed total degree `max_degree`.  Raises DivisionByZeroError
+    for a zero constant divisor.  Constant powers fold by `exact_power`.
+    """
+    if isinstance(expr, Num):
+        return {(): expr.value} if expr.value else {}
+    if isinstance(expr, Var):
+        return {((expr.name, 1),): Fraction(1)}
+    if isinstance(expr, Neg):
+        return _scale(polynomial(expr.child, max_degree), Fraction(-1))
+    if isinstance(expr, (Add, Sub)):
+        out = polynomial(expr.left, max_degree)
+        sign = 1 if isinstance(expr, Add) else -1
+        for monomial, coeff in polynomial(expr.right, max_degree).items():
+            total = out.get(monomial, 0) + sign * coeff
+            if total:
+                out[monomial] = total
+            else:
+                del out[monomial]
+        return out
+    if isinstance(expr, Mul):
+        left = polynomial(expr.left, max_degree)
+        return _multiply(left, polynomial(expr.right, max_degree), max_degree)
+    if isinstance(expr, Div):
+        left = polynomial(expr.left, max_degree)
+        divisor = _constant(polynomial(expr.right, max_degree))
+        if divisor is None:
+            raise NonLinearError("division by a variable-bearing expression")
+        if divisor == 0:
+            raise DivisionByZeroError()
+        return _scale(left, 1 / divisor)
+    if isinstance(expr, Pow):
+        exponent = _constant(polynomial(expr.exponent, max_degree))
+        if exponent is None or exponent.denominator != 1:
+            raise NonLinearError("unsupported exponent")
+        power = int(exponent)
+        base = polynomial(expr.base, max_degree)
+        constant = _constant(base)
+        if constant is not None:
+            value = exact_power(constant, power)
+            return {(): value} if value else {}
+        if power < 0 or _degree(base) * power > max_degree:
+            raise NonLinearError("variable-bearing power")
+        out = {(): Fraction(1)}
+        for _ in range(power):
+            out = _multiply(out, base, max_degree)
+        return out
+    raise TypeError(f"unknown node: {type(expr).__name__}")
 
 
-def _lf_scale(a: LinearForm, factor: Fraction) -> LinearForm:
-    return _lf({n: c * factor for n, c in a.coefficients.items()}, a.constant * factor)
+def _constant(terms: dict[Monomial, Fraction]) -> Fraction | None:
+    """The value of a constant polynomial, or None if it has a variable."""
+    if not terms:
+        return Fraction(0)
+    return terms.get(()) if len(terms) == 1 else None
+
+
+def _degree(terms: dict[Monomial, Fraction]) -> int:
+    return max((sum(power for _, power in monomial) for monomial in terms), default=0)
+
+
+def _scale(terms: dict[Monomial, Fraction], factor: Fraction) -> dict[Monomial, Fraction]:
+    return {monomial: coeff * factor for monomial, coeff in terms.items()} if factor else {}
+
+
+def _multiply(
+    left: dict[Monomial, Fraction], right: dict[Monomial, Fraction], max_degree: int
+) -> dict[Monomial, Fraction]:
+    for factor, other in ((left, right), (right, left)):
+        constant = _constant(factor)
+        if constant is not None:
+            return _scale(other, constant)
+    if _degree(left) + _degree(right) > max_degree:
+        raise NonLinearError("product exceeds the degree bound")
+    out: dict[Monomial, Fraction] = {}
+    for left_monomial, left_coeff in left.items():
+        for right_monomial, right_coeff in right.items():
+            powers = dict(left_monomial)
+            for name, power in right_monomial:
+                powers[name] = powers.get(name, 0) + power
+            monomial = tuple(sorted(powers.items()))
+            out[monomial] = out.get(monomial, 0) + left_coeff * right_coeff
+    return {monomial: coeff for monomial, coeff in out.items() if coeff}
 
 
 def linear_form(expr: Expr) -> LinearForm:
-    """Distribute `expr` into a LinearForm, or raise NonLinearError.
+    """The degree-1 view of `polynomial(expr, 1)`, or NonLinearError.
 
     Division by a constant is linear; division by anything variable-bearing
     is not.  Pow is linear only with a constant integer exponent of 0 or 1
     over a variable-bearing base (constant bases fold to a constant).
     """
-    if isinstance(expr, Num):
-        return LinearForm({}, expr.value)
-    if isinstance(expr, Var):
-        return LinearForm({expr.name: Fraction(1)}, Fraction(0))
-    if isinstance(expr, Neg):
-        return _lf_scale(linear_form(expr.child), Fraction(-1))
-    if isinstance(expr, Add):
-        return _lf_combine(linear_form(expr.left), linear_form(expr.right), 1)
-    if isinstance(expr, Sub):
-        return _lf_combine(linear_form(expr.left), linear_form(expr.right), -1)
-    if isinstance(expr, Mul):
-        left = linear_form(expr.left)
-        right = linear_form(expr.right)
-        if not left.coefficients:
-            return _lf_scale(right, left.constant)
-        if not right.coefficients:
-            return _lf_scale(left, right.constant)
-        raise NonLinearError("product of two variable-bearing expressions")
-    if isinstance(expr, Div):
-        left = linear_form(expr.left)
-        right = linear_form(expr.right)
-        if right.coefficients:
-            raise NonLinearError("division by a variable-bearing expression")
-        if right.constant == 0:
-            raise DivisionByZeroError()
-        return _lf_scale(left, 1 / right.constant)
-    if isinstance(expr, Pow):
-        exponent = linear_form(expr.exponent)
-        if exponent.coefficients or exponent.constant.denominator != 1:
-            raise NonLinearError("unsupported exponent")
-        power = int(exponent.constant)
-        base = linear_form(expr.base)
-        if not base.coefficients:
-            if abs(power) > MAX_EXPONENT:
-                raise ExponentTooLargeError(power)
-            if base.constant == 0 and power < 0:
-                raise DivisionByZeroError("zero raised to a negative power")
-            return LinearForm({}, base.constant ** power)
-        if power == 0:
-            return LinearForm({}, Fraction(1))
-        if power == 1:
-            return base
-        raise NonLinearError("variable-bearing power")
-    raise TypeError(f"unknown node: {type(expr).__name__}")
+    terms = polynomial(expr, 1)
+    constant = terms.pop((), Fraction(0))
+    return LinearForm({monomial[0][0]: coeff for monomial, coeff in terms.items()}, constant)
 
 
 def is_integral(value: Fraction) -> bool:

@@ -26,7 +26,6 @@ from fractions import Fraction
 from .exprs import (
     Add,
     Div,
-    DivisionByZeroError,
     Expr,
     ExprError,
     Mul,
@@ -40,6 +39,7 @@ from .exprs import (
     format_rational,
     free_vars,
     linear_form,
+    polynomial,
     substitute,
 )
 from .parsing import EqDecl, SolutionScript, VarDecl
@@ -53,8 +53,8 @@ NUMERIC_TOLERANCE = 1e-9
 ROOT_DEDUPE_TOLERANCE = 1e-7
 MAX_BRANCHES = 16
 
-# Degree bound when expanding an equation into dense polynomial
-# coefficients; larger powers fall through to the numeric root finder.
+# Degree bound when expanding a univariate equation into a polynomial;
+# larger powers fall through to the numeric root finder.
 _MAX_POLY_DEGREE = 32
 
 
@@ -291,97 +291,6 @@ def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
 # --------------------------------------------------------------------------
 # Univariate equations
 
-def _poly_coefficients(expr: Expr, var: str) -> list[Fraction] | None:
-    """Dense coefficients (index = power) of `expr` as a polynomial in `var`.
-
-    Returns None when the expression is not a polynomial in `var` (or its
-    degree would exceed the expansion bound).  Division by zero raises.
-    """
-    if isinstance(expr, Num):
-        return [expr.value]
-    if isinstance(expr, Var):
-        if expr.name != var:
-            return None
-        return [Fraction(0), Fraction(1)]
-    if isinstance(expr, Neg):
-        inner = _poly_coefficients(expr.child, var)
-        return None if inner is None else [-c for c in inner]
-    if isinstance(expr, (Add, Sub)):
-        left = _poly_coefficients(expr.left, var)
-        right = _poly_coefficients(expr.right, var)
-        if left is None or right is None:
-            return None
-        sign = 1 if isinstance(expr, Add) else -1
-        out = [Fraction(0)] * max(len(left), len(right))
-        for i, c in enumerate(left):
-            out[i] += c
-        for i, c in enumerate(right):
-            out[i] += sign * c
-        return _trim(out)
-    if isinstance(expr, Mul):
-        left = _poly_coefficients(expr.left, var)
-        right = _poly_coefficients(expr.right, var)
-        if left is None or right is None:
-            return None
-        return _poly_mul(left, right)
-    if isinstance(expr, Div):
-        left = _poly_coefficients(expr.left, var)
-        right = _poly_coefficients(expr.right, var)
-        if left is None or right is None or len(right) > 1:
-            return None
-        if not right or right[0] == 0:
-            raise DivisionByZeroError()
-        return [c / right[0] for c in left]
-    if isinstance(expr, Pow):
-        exponent = _poly_coefficients(expr.exponent, var)
-        if exponent is None or len(exponent) > 1:
-            return None
-        power_value = exponent[0] if exponent else Fraction(0)
-        if power_value.denominator != 1:
-            return None
-        power = int(power_value)
-        base = _poly_coefficients(expr.base, var)
-        if base is None:
-            return None
-        if len(base) <= 1:  # constant base: fold exactly
-            base_value = base[0] if base else Fraction(0)
-            if base_value == 0 and power < 0:
-                raise DivisionByZeroError("zero raised to a negative power")
-            if abs(power) > _MAX_POLY_DEGREE * 4:
-                return None
-            return [base_value**power]
-        if power < 0 or (len(base) - 1) * power > _MAX_POLY_DEGREE:
-            return None
-        out = [Fraction(1)]
-        for _ in range(power):
-            result = _poly_mul(out, base)
-            if result is None:
-                return None
-            out = result
-        return out
-    raise TypeError(f"unknown node: {type(expr).__name__}")
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction] | None:
-    if not a or not b:
-        return []
-    if (len(a) - 1) + (len(b) - 1) > _MAX_POLY_DEGREE:
-        return None
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _sqrt_exact(value: Fraction) -> Fraction | None:
     """The exact rational square root, or None if there is none."""
     if value < 0:
@@ -428,7 +337,9 @@ def _eval_float(expr: Expr, var: str, value: float) -> float:
     if isinstance(expr, Div):
         return _eval_float(expr.left, var, value) / _eval_float(expr.right, var, value)
     if isinstance(expr, Pow):
-        return _eval_float(expr.base, var, value) ** _eval_float(expr.exponent, var, value)
+        # ValueError where `**` would return a complex number (a negative
+        # base to a fractional power), so such a point has no value.
+        return math.pow(_eval_float(expr.base, var, value), _eval_float(expr.exponent, var, value))
     raise TypeError(f"unknown node: {type(expr).__name__}")
 
 
@@ -523,10 +434,14 @@ def _solve_univariate(equation: Equation, var: str) -> tuple[list[Value], str]:
         raise ValueError(f"equation is not univariate in '{var}': {sorted(stray)}")
     residual = Sub(lhs, rhs)
     try:
-        coeffs = _poly_coefficients(residual, var)
+        terms = polynomial(residual, _MAX_POLY_DEGREE)
+    except NonLinearError:
+        terms = None
     except ExprError as err:
         raise NumericDivergenceError(str(err)) from err
-    if coeffs is not None:
+    if terms is not None:
+        degree = max((monomial[0][1] if monomial else 0 for monomial in terms), default=-1)
+        coeffs = [terms.get(((var, k),) if k else (), Fraction(0)) for k in range(degree + 1)]
         if len(coeffs) == 0:
             raise UnderdeterminedError("equation holds for every value")
         if len(coeffs) == 1:

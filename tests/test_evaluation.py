@@ -188,6 +188,30 @@ def test_run_problem_solver_failure(tmp_path):
     assert record.detail
 
 
+@pytest.mark.parametrize(
+    "transcript, verdict",
+    [
+        ("[[var x]] [[x ^ 0.5 = 3]] [[answer = x]]", CORRECT),
+        ("[[var x]] [[(0 - 2) ^ x = 4]] [[answer = x]]", SOLVER_FAILURE),
+        ("[[var a]] [[var b]] [[a = 9 ^ 9999]] [[b = a ^ 30]] [[answer = b]]", SOLVER_FAILURE),
+        ("[[var a]] [[var b]] [[a = 9 ^ 9999]] [[b = a ^ 9999]] [[answer = b]]", SOLVER_FAILURE),
+    ],
+    ids=["fractional-power", "negative-base", "huge-power-30", "huge-power-9999"],
+)
+def test_run_problem_bounds_complex_and_huge_powers(tmp_path, transcript, verdict):
+    """A negative base to a fractional power is no value on the float grid,
+    and an exact power too large to compute or print is a solver failure;
+    neither aborts the run nor takes long."""
+    problem = Problem("p1", "Q?", F(9))
+    mode = cassette_for(tmp_path, SPEC, [(problem.question, transcript)])
+    start = time.perf_counter()
+    record = run_problem(problem, SPEC, CONFIG, mode)
+    assert time.perf_counter() - start < 1
+    assert record.verdict == verdict
+    if verdict == CORRECT:
+        assert record.predicted == pytest.approx(9)
+
+
 def test_run_problem_client_failure(tmp_path):
     problem = Problem("p1", "not in cassette", F(1))
     mode = cassette_for(tmp_path, SPEC, [("different question", GOOD)])

@@ -1,13 +1,18 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from declsolve.exprs import (
+    MAX_EXPONENT,
+    MAX_POWER_BITS,
     Add,
     Div,
     DivisionByZeroError,
     ExponentTooLargeError,
+    ExprError,
+    LinearForm,
     Mul,
     Neg,
     NonIntegerExponentError,
@@ -22,6 +27,7 @@ from declsolve.exprs import (
     free_vars,
     iter_numerals,
     linear_form,
+    polynomial,
     render,
     substitute,
 )
@@ -80,6 +86,12 @@ def test_eval_exact_errors():
         eval_exact(Pow(Num(2), Num(Fraction(1, 2))))
     with pytest.raises(ExponentTooLargeError):
         eval_exact(Pow(Num(2), Num(100_000)))
+    # The result size is bounded too, before anything is computed.
+    start = time.perf_counter()
+    for expr in (Pow(Num(9), Num(9999)), Pow(Pow(Num(9), Num(999)), Num(9999))):
+        with pytest.raises(ExponentTooLargeError):
+            eval_exact(expr)
+    assert time.perf_counter() - start < 1
 
 
 def test_division_by_zero_is_also_zero_division_error():
@@ -128,6 +140,24 @@ def test_linear_form_rejects_products_of_variables():
     # but x^1 and x^0 are fine
     assert linear_form(Pow(x, Num(1))).coefficients == {"x": Fraction(1)}
     assert linear_form(Pow(x, Num(0))).constant == 1
+
+
+def test_polynomial_expands_to_sparse_monomials():
+    x, y = Var("x"), Var("y")
+    assert polynomial((x + y) ** 2 - y * y, 2) == {
+        (("x", 2),): Fraction(1),
+        (("x", 1), ("y", 1)): Fraction(2),
+    }
+    assert polynomial(x - x, 1) == {}
+    assert polynomial(Num(2) ** 200 / 4, 0) == {(): Fraction(2**198)}
+    with pytest.raises(NonLinearError):
+        polynomial(x * x * x, 2)
+    with pytest.raises(NonLinearError):
+        polynomial(Pow(x, Num(-1)), 2)
+    with pytest.raises(NonLinearError):
+        polynomial(Pow(Num(2), x), 2)
+    with pytest.raises(DivisionByZeroError):
+        polynomial(Div(x, x - x), 1)
 
 
 def test_format_rational():
@@ -215,3 +245,268 @@ def test_free_vars_matches_unbound_failures(e):
             pass
         else:
             pytest.fail("expected UnboundVariableError")
+
+
+# --- differential test against the expansions polynomial() replaced ------------
+#
+# Test-only copies of the old `linear_form` (with `_lf`, `_lf_combine` and
+# `_lf_scale`) and of the old `solver._poly_coefficients` (with `_poly_mul`
+# and `_trim`).  Each is verbatim except at its constant fold, where it raises
+# `_Deviation` on the inputs on which the shared `exact_power` rule
+# deliberately differs:
+# - `_poly_coefficients` gave up on |exponent| > 128 (the float grid took
+#   over); those powers now fold exactly up to MAX_EXPONENT;
+# - both computed a power however large its result; one over MAX_POWER_BITS
+#   now raises ExponentTooLargeError.
+
+_OLD_MAX_POLY_DEGREE = 32
+
+
+class _Deviation(Exception):
+    pass
+
+
+def _oversize(base, power):
+    return (base.numerator.bit_length() + base.denominator.bit_length()) * abs(power) > MAX_POWER_BITS
+
+
+def _ref_lf(coefficients, constant):
+    return LinearForm({n: c for n, c in coefficients.items() if c != 0}, constant)
+
+
+def _ref_lf_combine(a, b, sign):
+    coeffs = dict(a.coefficients)
+    for name, coeff in b.coefficients.items():
+        coeffs[name] = coeffs.get(name, Fraction(0)) + sign * coeff
+    return _ref_lf(coeffs, a.constant + sign * b.constant)
+
+
+def _ref_lf_scale(a, factor):
+    return _ref_lf({n: c * factor for n, c in a.coefficients.items()}, a.constant * factor)
+
+
+def _reference_linear_form(expr):
+    if isinstance(expr, Num):
+        return LinearForm({}, expr.value)
+    if isinstance(expr, Var):
+        return LinearForm({expr.name: Fraction(1)}, Fraction(0))
+    if isinstance(expr, Neg):
+        return _ref_lf_scale(_reference_linear_form(expr.child), Fraction(-1))
+    if isinstance(expr, Add):
+        return _ref_lf_combine(_reference_linear_form(expr.left), _reference_linear_form(expr.right), 1)
+    if isinstance(expr, Sub):
+        return _ref_lf_combine(_reference_linear_form(expr.left), _reference_linear_form(expr.right), -1)
+    if isinstance(expr, Mul):
+        left = _reference_linear_form(expr.left)
+        right = _reference_linear_form(expr.right)
+        if not left.coefficients:
+            return _ref_lf_scale(right, left.constant)
+        if not right.coefficients:
+            return _ref_lf_scale(left, right.constant)
+        raise NonLinearError("product of two variable-bearing expressions")
+    if isinstance(expr, Div):
+        left = _reference_linear_form(expr.left)
+        right = _reference_linear_form(expr.right)
+        if right.coefficients:
+            raise NonLinearError("division by a variable-bearing expression")
+        if right.constant == 0:
+            raise DivisionByZeroError()
+        return _ref_lf_scale(left, 1 / right.constant)
+    if isinstance(expr, Pow):
+        exponent = _reference_linear_form(expr.exponent)
+        if exponent.coefficients or exponent.constant.denominator != 1:
+            raise NonLinearError("unsupported exponent")
+        power = int(exponent.constant)
+        base = _reference_linear_form(expr.base)
+        if not base.coefficients:
+            if abs(power) > MAX_EXPONENT:
+                raise ExponentTooLargeError(power)
+            if base.constant == 0 and power < 0:
+                raise DivisionByZeroError("zero raised to a negative power")
+            if _oversize(base.constant, power):
+                raise _Deviation()
+            return LinearForm({}, base.constant ** power)
+        if power == 0:
+            return LinearForm({}, Fraction(1))
+        if power == 1:
+            return base
+        raise NonLinearError("variable-bearing power")
+    raise TypeError(f"unknown node: {type(expr).__name__}")
+
+
+def _reference_poly_coefficients(expr, var):
+    if isinstance(expr, Num):
+        return [expr.value]
+    if isinstance(expr, Var):
+        if expr.name != var:
+            return None
+        return [Fraction(0), Fraction(1)]
+    if isinstance(expr, Neg):
+        inner = _reference_poly_coefficients(expr.child, var)
+        return None if inner is None else [-c for c in inner]
+    if isinstance(expr, (Add, Sub)):
+        left = _reference_poly_coefficients(expr.left, var)
+        right = _reference_poly_coefficients(expr.right, var)
+        if left is None or right is None:
+            return None
+        sign = 1 if isinstance(expr, Add) else -1
+        out = [Fraction(0)] * max(len(left), len(right))
+        for i, c in enumerate(left):
+            out[i] += c
+        for i, c in enumerate(right):
+            out[i] += sign * c
+        return _ref_trim(out)
+    if isinstance(expr, Mul):
+        left = _reference_poly_coefficients(expr.left, var)
+        right = _reference_poly_coefficients(expr.right, var)
+        if left is None or right is None:
+            return None
+        return _ref_poly_mul(left, right)
+    if isinstance(expr, Div):
+        left = _reference_poly_coefficients(expr.left, var)
+        right = _reference_poly_coefficients(expr.right, var)
+        if left is None or right is None or len(right) > 1:
+            return None
+        if not right or right[0] == 0:
+            raise DivisionByZeroError()
+        return [c / right[0] for c in left]
+    if isinstance(expr, Pow):
+        exponent = _reference_poly_coefficients(expr.exponent, var)
+        if exponent is None or len(exponent) > 1:
+            return None
+        power_value = exponent[0] if exponent else Fraction(0)
+        if power_value.denominator != 1:
+            return None
+        power = int(power_value)
+        base = _reference_poly_coefficients(expr.base, var)
+        if base is None:
+            return None
+        if len(base) <= 1:  # constant base: fold exactly
+            base_value = base[0] if base else Fraction(0)
+            if abs(power) > _OLD_MAX_POLY_DEGREE * 4 or _oversize(base_value, power):
+                raise _Deviation()
+            if base_value == 0 and power < 0:
+                raise DivisionByZeroError("zero raised to a negative power")
+            return [base_value**power]
+        if power < 0 or (len(base) - 1) * power > _OLD_MAX_POLY_DEGREE:
+            return None
+        out = [Fraction(1)]
+        for _ in range(power):
+            result = _ref_poly_mul(out, base)
+            if result is None:
+                return None
+            out = result
+        return out
+    raise TypeError(f"unknown node: {type(expr).__name__}")
+
+
+def _ref_poly_mul(a, b):
+    if not a or not b:
+        return []
+    if (len(a) - 1) + (len(b) - 1) > _OLD_MAX_POLY_DEGREE:
+        return None
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _ref_trim(out)
+
+
+def _ref_trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except ExprError as err:
+        return type(err)
+
+
+def _dense(expr, var):
+    """What the univariate solver reads: None for a non-polynomial."""
+    terms = polynomial(expr, _OLD_MAX_POLY_DEGREE)
+    degree = max((monomial[0][1] if monomial else 0 for monomial in terms), default=-1)
+    return [terms.get(((var, k),) if k else (), Fraction(0)) for k in range(degree + 1)]
+
+
+_DIFF_EXPONENTS = [Num(n) for n in (-2, -1, 0, 1, 2, 3, 129, 200, 5000, 10_001)] + [
+    Div(Num(1), Num(2)),
+    Neg(Num(200)),
+]
+
+
+def _diff_expressions(names):
+    leaves = st.one_of(
+        st.sampled_from(names).map(Var),
+        st.integers(0, 5).map(Num),
+        rationals.map(Num),
+        st.builds(Pow, rationals.map(Num), st.sampled_from(_DIFF_EXPONENTS)),
+    )
+    return st.recursive(
+        leaves,
+        lambda child: st.one_of(
+            st.builds(Neg, child),
+            st.builds(Add, child, child),
+            st.builds(Sub, child, child),
+            st.builds(Mul, child, child),
+            st.builds(Div, child, child),
+            st.builds(Pow, child, st.one_of(st.sampled_from(_DIFF_EXPONENTS), child)),
+        ),
+        max_leaves=6,
+    )
+
+
+def _agrees_with_eval(expr, terms):
+    """`terms` evaluate as `expr` does wherever `expr` evaluates exactly."""
+    for point in (FULL_BINDINGS, {"x": Fraction(-2), "y": Fraction(1, 3), "z": Fraction(0)}):
+        try:
+            direct = eval_exact(expr, point)
+        except ExprError:
+            continue
+        total = Fraction(0)
+        for monomial, coeff in terms.items():
+            for name, power in monomial:
+                coeff *= point[name] ** power
+            total += coeff
+        assert total == direct
+
+
+@settings(max_examples=400, deadline=None)
+@given(_diff_expressions(["x", "y", "z"]))
+def test_linear_form_matches_old_linear_form(expr):
+    """The same LinearForm, or the same error type; a constant power over
+    MAX_POWER_BITS now raises ExponentTooLargeError instead of folding."""
+    try:
+        expected = _outcome(_reference_linear_form, expr)
+    except _Deviation:
+        assert _outcome(linear_form, expr) is ExponentTooLargeError
+        return
+    assert _outcome(linear_form, expr) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(_diff_expressions(["x"]), _diff_expressions(["x"]))
+def test_polynomial_matches_old_poly_coefficients(lhs, rhs):
+    """The same dense coefficients of `lhs - rhs` (as the univariate solver
+    expands it), NonLinearError where the old expansion returned None, or
+    the same error type.  The old expansion evaluated both operands before
+    giving up, so a constant division by zero to the right of a
+    non-polynomial part raised; the new one stops at the first fault, left
+    to right, as `linear_form` always did."""
+    residual = Sub(lhs, rhs)
+    got = _outcome(_dense, residual, "x")
+    try:
+        expected = _outcome(_reference_poly_coefficients, residual, "x")
+    except _Deviation:
+        if isinstance(got, list):
+            _agrees_with_eval(residual, polynomial(residual, _OLD_MAX_POLY_DEGREE))
+        return
+    if expected is None:
+        assert got is NonLinearError
+    elif not (expected is DivisionByZeroError and got is NonLinearError):
+        assert got == expected

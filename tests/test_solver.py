@@ -447,6 +447,10 @@ def test_univariate_quadratic_exact():
     # rational (non-integer) roots stay exact
     roots = solve_univariate(_eq("4 * x ^ 2 - 1", "0"), "x")
     assert roots == [F(-1, 2), F(1, 2)]
+    # a constant power beyond the old fold limit of 128 still expands exactly
+    roots = solve_univariate(_eq("x ^ 2", "2 ^ 200"), "x")
+    assert roots == [F(-(2**100)), F(2**100)]
+    assert select_answer(roots) == 2**100
 
 
 def test_univariate_quadratic_double_root():
