@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -200,14 +201,27 @@ def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) 
 
 
 # Cassette cache / per-path locks, so concurrent workers share one parsed
-# cassette and record-through appends stay serialized.
+# cassette and record-through appends stay serialized.  Both are keyed by
+# the resolved path, so every spelling of one file shares them.
 _CACHE_LOCK = threading.Lock()
 _CASSETTE_CACHE: dict[Path, Cassette] = {}
 _WRITER_LOCKS: dict[Path, threading.Lock] = {}
+# Path.resolve stats every component; resolve each spelling once per
+# working directory, since a relative one names another file after a chdir.
+# Two workers racing on a new key only resolve it twice, to the same path.
+_RESOLVED: dict[tuple[str, str], Path] = {}
+
+
+def _resolve(path: str | Path) -> Path:
+    key = (os.getcwd(), str(path))
+    resolved = _RESOLVED.get(key)
+    if resolved is None:
+        resolved = _RESOLVED[key] = Path(path).resolve()
+    return resolved
 
 
 def _cassette_for(path: str | Path) -> Cassette:
-    resolved = Path(path).resolve()
+    resolved = _resolve(path)
     with _CACHE_LOCK:
         cached = _CASSETTE_CACHE.get(resolved)
         if cached is None:
@@ -217,21 +231,19 @@ def _cassette_for(path: str | Path) -> Cassette:
 
 
 def _writer_lock(path: str | Path) -> threading.Lock:
-    resolved = Path(path).resolve()
+    resolved = _resolve(path)
     with _CACHE_LOCK:
         return _WRITER_LOCKS.setdefault(resolved, threading.Lock())
 
 
 def forget_cassette(path: str | Path) -> None:
     """Drop a cached cassette (tests touch cassette files directly)."""
-    resolved = Path(path).resolve()
+    resolved = _resolve(path)
     with _CACHE_LOCK:
         _CASSETTE_CACHE.pop(resolved, None)
 
 
 def _credential(env_name: str) -> str | None:
-    import os
-
     return os.environ.get(env_name)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -67,6 +68,8 @@ VERDICTS: tuple[str, ...] = (
 )
 
 SCORE_RELATIVE_TOLERANCE = 1e-4
+
+_log = logging.getLogger(__name__)
 
 _GOLD_NUMERAL_RE = re.compile(r"^-?\d+(?:\.\d+)?$")
 _TRANSCRIPT_NUMERAL_RE = re.compile(r"-?\d[\d,]*(?:\.\d+)?")
@@ -269,7 +272,21 @@ def run_problem(
         return EvalRecord(
             problem.id, None, None, None, None, CLIENT_FAILURE, False, 0, str(err)
         )
+    try:
+        return _judge(problem, spec, transcript)
+    except Exception as err:
+        # The last resort behind the typed handlers in _judge: whatever else
+        # a completion makes the parser, the rule check or the solver raise
+        # (RecursionError on a deep tree, say) is a verdict, not an abort.
+        _log.debug("problem %s: unexpected error", problem.id, exc_info=True)
+        return EvalRecord(
+            problem.id, transcript, None, None, None,
+            SOLVER_FAILURE, False, 0, f"{type(err).__name__}: {err}",
+        )
 
+
+def _judge(problem: Problem, spec: PromptSpec, transcript: str) -> EvalRecord:
+    """Parse, check and solve one completion, and score the answer."""
     try:
         script = script_from_transcript(transcript)
     except ScriptError as err:

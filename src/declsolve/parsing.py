@@ -16,7 +16,8 @@ Expression grammar (no implicit multiplication)::
     atom    := NUMBER | IDENT | '(' expr ')'
 
 `^` binds tighter than unary minus, which binds tighter than `*` and `/`.
-Decimal numerals parse as exact rationals (`0.25` -> 1/4).
+Decimal numerals parse as exact rationals (`0.25` -> 1/4).  At most
+MAX_NESTING levels nest; deeper input is an ExprSyntaxError.
 
 A parsed script is checked against five structural rules: every statement
 is a declaration (1), the goal comes last (2), equations use only
@@ -126,36 +127,43 @@ class ReservedIdentifierError(ScriptError):
 # --------------------------------------------------------------------------
 # Tokenizer and expression parser
 
+# A token is a (kind, text, position) tuple, kind one of num, ident, op and
+# end.  Whitespace matches no named group; `bad` catches any other character.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
+    r"\s+"
     r"|(?P<num>\d+(?:\.\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()=])"
+    r"|(?P<bad>.)"
 )
+_Token = tuple[str, str, int]
 
 _ATOM_EXPECTED = {"number", "name", "'-'", "'('"}
 
+# The most parse levels open at once below the top one.  Each '(', unary
+# '-' and binary right operand opens a level, so recursion stays bounded.
+MAX_NESTING = 200
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | ident | op | end
-    text: str
-    pos: int
+
+def _numeral(digits: str) -> Fraction:
+    """The exact value of a digit string with an optional decimal part."""
+    whole, _, frac = digits.partition(".")
+    if frac:
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    return Fraction(int(whole))
 
 
 def _tokenize(src: str, offset: int = 0) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(src):
-        match = _TOKEN_RE.match(src, pos)
-        if match is None:
-            raise ExprSyntaxError(offset + pos, {"a valid token"}, repr(src[pos]))
-        if match.lastgroup != "ws":
-            kind = match.lastgroup
-            assert kind is not None
-            tokens.append(_Token(kind, match.group(), offset + pos))
-        pos = match.end()
-    tokens.append(_Token("end", "", offset + len(src)))
+    append = tokens.append
+    for match in _TOKEN_RE.finditer(src):
+        kind = match.lastgroup
+        if kind is None:
+            continue
+        if kind == "bad":
+            raise ExprSyntaxError(offset + match.start(), {"a valid token"}, repr(match.group()))
+        append((kind, match.group(), offset + match.start()))
+    append(("end", "", offset + len(src)))
     return tokens
 
 
@@ -165,65 +173,64 @@ _BINARY_NODE = {"+": Add, "-": Sub, "*": Mul, "/": Div, "^": Pow}
 
 
 class _Parser:
+    """Precedence climbing over a token list that ends in an end token.
+
+    Operators are told apart by text alone: no name or numeral spells one.
+    """
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def parse(self, min_prec: int = 0) -> Expr:
-        lhs = self.atom()
+    def parse(self, min_prec: int = 0, depth: int = 0) -> Expr:
+        tokens = self.tokens
+        if depth > MAX_NESTING:
+            _, text, pos = tokens[self.index - 1]  # the token that opened this level
+            raise ExprSyntaxError(pos, {f"at most {MAX_NESTING} nesting levels"}, text)
+        lhs = self.atom(depth)
         while True:
-            token = self.peek()
-            if token.kind != "op":
-                break
-            prec = _BINARY_PREC.get(token.text)
+            text = tokens[self.index][1]
+            prec = _BINARY_PREC.get(text)
             if prec is None or prec < min_prec:
-                break
-            self.advance()
+                return lhs
+            self.index += 1
             # '^' is right-associative: keep the same level on the right.
-            next_min = prec if token.text == "^" else prec + 1
-            rhs = self.parse(next_min)
-            lhs = _BINARY_NODE[token.text](lhs, rhs)
-        return lhs
+            rhs = self.parse(prec if text == "^" else prec + 1, depth + 1)
+            lhs = _BINARY_NODE[text](lhs, rhs)
 
-    def atom(self) -> Expr:
-        token = self.peek()
-        if token.kind == "num":
-            self.advance()
-            return Num(Fraction(token.text))
-        if token.kind == "ident":
-            self.advance()
-            return Var(token.text)
-        if token.kind == "op" and token.text == "-":
-            self.advance()
+    def atom(self, depth: int) -> Expr:
+        kind, text, pos = self.tokens[self.index]
+        self.index += 1
+        if kind == "num":
+            return Num(_numeral(text))
+        if kind == "ident":
+            return Var(text)
+        if text == "-":
             # Unary minus binds looser than '^': -x^2 is -(x^2).
-            return Neg(self.parse(_UNARY_PREC + 1))
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            inner = self.parse(0)
-            closing = self.peek()
-            if not (closing.kind == "op" and closing.text == ")"):
-                raise ExprSyntaxError(closing.pos, {"')'"}, closing.text or "end of input")
-            self.advance()
+            return Neg(self.parse(_UNARY_PREC + 1, depth + 1))
+        if text == "(":
+            inner = self.parse(0, depth + 1)
+            _, text, pos = self.tokens[self.index]
+            if text != ")":
+                raise ExprSyntaxError(pos, {"')'"}, text or "end of input")
+            self.index += 1
             return inner
-        raise ExprSyntaxError(token.pos, set(_ATOM_EXPECTED), token.text or "end of input")
+        raise ExprSyntaxError(pos, set(_ATOM_EXPECTED), text or "end of input")
+
+
+def _parse_run(tokens: list[_Token]) -> Expr:
+    """Parse a whole token run; raises ExprSyntaxError."""
+    parser = _Parser(tokens)
+    expr = parser.parse()
+    kind, text, pos = tokens[parser.index]
+    if kind != "end":
+        raise ExprSyntaxError(pos, {"end of expression"}, text)
+    return expr
 
 
 def parse_expression(src: str, offset: int = 0) -> Expr:
     """Parse one arithmetic expression; raises ExprSyntaxError."""
-    parser = _Parser(_tokenize(src, offset))
-    expr = parser.parse(0)
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExprSyntaxError(trailing.pos, {"end of expression"}, trailing.text)
-    return expr
+    return _parse_run(_tokenize(src, offset))
 
 
 # --------------------------------------------------------------------------
@@ -272,47 +279,28 @@ def parse_declaration(raw: str, span: Span | None = None) -> Declaration:
     """Parse one bracket body into a declaration."""
     offset = span[0] + 2 if span else 0
     tokens = _tokenize(raw, offset)
-    equals = [i for i, t in enumerate(tokens) if t.kind == "op" and t.text == "="]
+    equals = [i for i, token in enumerate(tokens) if token[1] == "="]
     if len(equals) > 1:
         raise MultipleEqualsError(raw.strip())
 
     if not equals:
         # Only remaining legal form: `var <ident>`.
-        if (
-            len(tokens) == 3
-            and tokens[0].kind == "ident"
-            and tokens[0].text == "var"
-            and tokens[1].kind == "ident"
-        ):
-            return VarDecl(tokens[1].text, span)
-        bad = next((t for t in tokens if t.kind != "end"), tokens[-1])
-        raise ExprSyntaxError(
-            bad.pos, {"'var <name>'", "'<expr> = <expr>'"}, bad.text or "end of input"
-        )
+        if len(tokens) == 3 and tokens[0][1] == "var" and tokens[1][0] == "ident":
+            return VarDecl(tokens[1][1], span)
+        _, text, pos = tokens[0]
+        raise ExprSyntaxError(pos, {"'var <name>'", "'<expr> = <expr>'"}, text or "end of input")
 
     split = equals[0]
-    lhs_tokens = tokens[:split]
-    rhs_tokens = tokens[split + 1 :]
-    if len(lhs_tokens) == 1 and lhs_tokens[0].kind == "ident" and lhs_tokens[0].text == RESERVED_GOAL_NAME:
-        if len(rhs_tokens) == 2 and rhs_tokens[0].kind == "ident":
-            return GoalDecl(rhs_tokens[0].text, span)
-        bad = rhs_tokens[0] if rhs_tokens else tokens[-1]
-        raise ExprSyntaxError(bad.pos, {"a variable name"}, bad.text or "end of input")
+    lhs, rhs = tokens[:split], tokens[split + 1 :]
+    if len(lhs) == 1 and lhs[0][1] == RESERVED_GOAL_NAME:
+        if len(rhs) == 2 and rhs[0][0] == "ident":
+            return GoalDecl(rhs[0][1], span)
+        _, text, pos = rhs[0]
+        raise ExprSyntaxError(pos, {"a variable name"}, text or "end of input")
 
-    lhs = _parse_token_run(lhs_tokens, raw, span)
-    rhs = _parse_token_run(rhs_tokens, raw, span)
-    return EqDecl(lhs, rhs, span)
-
-
-def _parse_token_run(tokens: list[_Token], raw: str, span: Span | None) -> Expr:
-    end_pos = tokens[-1].pos + len(tokens[-1].text) if tokens else (span[0] + 2 if span else 0)
-    run = tokens + [_Token("end", "", end_pos)]
-    parser = _Parser(run)
-    expr = parser.parse(0)
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExprSyntaxError(trailing.pos, {"end of expression"}, trailing.text)
-    return expr
+    # The left side ends where its last token does, or where the body starts.
+    lhs.append(("end", "", lhs[-1][2] + len(lhs[-1][1]) if lhs else offset))
+    return EqDecl(_parse_run(lhs), _parse_run(rhs), span)
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +431,7 @@ def question_numbers(question: str) -> list[tuple[Fraction, frozenset[Fraction]]
     for match in _QUESTION_NUMBER_RE.finditer(question):
         text = match.group()
         is_percent = text.endswith("%")
-        face = Fraction(text.rstrip("%").replace(",", ""))
+        face = _numeral(text.rstrip("%").replace(",", ""))
         if face in seen:
             continue
         seen.add(face)

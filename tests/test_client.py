@@ -9,6 +9,7 @@ import pytest
 import requests
 
 import declsolve
+from declsolve import client
 from declsolve.client import (
     RETRY_ATTEMPTS,
     Cassette,
@@ -153,6 +154,53 @@ def test_replay_picks_up_external_writes_after_forget(tmp_path):
     forget_cassette(path)
     assert complete(other, Replay(str(path))) == "v2"
 
+
+
+def count_resolves(monkeypatch):
+    """Count calls to Path.resolve from here on."""
+    calls = []
+    resolve = Path.resolve
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return resolve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "resolve", counting)
+    return calls
+
+
+def test_replay_resolves_the_cassette_path_once(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    r = req()
+    append_record(path, r, "v1")
+    calls = count_resolves(monkeypatch)
+    for _ in range(50):
+        assert complete(r, Replay(str(path))) == "v1"
+    assert len(calls) == 1
+    other = req("another prompt")
+    append_record(path, other, "v2")
+    forget_cassette(path)
+    assert complete(other, Replay(str(path))) == "v2"
+
+
+def test_relative_cassette_path_follows_the_working_directory(tmp_path, monkeypatch):
+    r = req()
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        append_record(tmp_path / name / "c.jsonl", r, f"from {name}")
+    monkeypatch.chdir(tmp_path / "a")
+    assert complete(r, Replay("c.jsonl")) == "from a"
+    monkeypatch.chdir(tmp_path / "b")
+    assert complete(r, Replay("c.jsonl")) == "from b"
+
+
+def test_spellings_of_one_cassette_share_it_and_its_writer_lock(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    append_record(path, req(), "t")
+    monkeypatch.chdir(tmp_path)
+    spellings = [str(path), path, "c.jsonl", f"../{tmp_path.name}/c.jsonl"]
+    assert len({id(client._cassette_for(s)) for s in spellings}) == 1
+    assert len({id(client._writer_lock(s)) for s in spellings}) == 1
 
 # --- live ------------------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from declsolve.evaluation import (
     run_problem,
     score,
 )
+from declsolve.parsing import MAX_NESTING
 from declsolve.prompts import (
     VARIANT_LLM_SOLVES,
     VARIANT_ONE_STEP,
@@ -211,6 +212,57 @@ def test_run_problem_bounds_complex_and_huge_powers(tmp_path, transcript, verdic
     if verdict == CORRECT:
         assert record.predicted == pytest.approx(9)
 
+
+
+def deep(body):
+    return f"[[var x]] [[x = {body}]] [[answer = x]]"
+
+
+# Transcripts that once ended a run with RecursionError, each with its
+# verdict now: past the parser's nesting limit, or too long for the rule
+# check's tree walk.
+DEPTH_PROBES = {
+    "parens": (deep("(" * 1200 + "2" + ")" * 1200), PARSE_FAILURE),
+    "power-tower": (deep(" ^ ".join(["2"] * 1201)), PARSE_FAILURE),
+    "unary-minus": (deep("-" * 1200 + "2"), PARSE_FAILURE),
+    "flat-sum": (deep(" + ".join(["1"] * 3000)), SOLVER_FAILURE),
+}
+
+
+@pytest.mark.parametrize("name", ["parens", "power-tower", "unary-minus"])
+def test_run_problem_nesting_past_the_limit_is_a_parse_failure(tmp_path, name):
+    problem = Problem("p1", "Q?", F(2))
+    mode = cassette_for(tmp_path, SPEC, [(problem.question, DEPTH_PROBES[name][0])])
+    start = time.perf_counter()
+    record = run_problem(problem, SPEC, CONFIG, mode)
+    assert time.perf_counter() - start < 1
+    assert record.verdict == PARSE_FAILURE
+    assert "nesting levels" in record.detail
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "(" * MAX_NESTING + "2" + ")" * MAX_NESTING,
+        " ^ ".join(["2"] + ["1"] * MAX_NESTING),
+        "-" * MAX_NESTING + "2",
+    ],
+    ids=["parens", "power-tower", "unary-minus"],
+)
+def test_run_problem_nesting_at_the_limit_is_solved(tmp_path, body):
+    problem = Problem("p1", "Q?", F(2))
+    mode = cassette_for(tmp_path, SPEC, [(problem.question, deep(body))])
+    assert run_problem(problem, SPEC, CONFIG, mode).verdict == CORRECT
+
+
+def test_run_eval_turns_any_error_after_the_completion_into_a_verdict(tmp_path):
+    problems = [Problem(name, f"{name}?", F(2)) for name in DEPTH_PROBES]
+    mode = cassette_for(tmp_path, SPEC, [(p.question, DEPTH_PROBES[p.id][0]) for p in problems])
+    report = run_eval(problems, SPEC, mode, CONFIG)
+    assert [r.verdict for r in report.records] == [v for _, v in DEPTH_PROBES.values()]
+    flat = report.records[-1]
+    assert flat.detail.startswith("RecursionError: maximum recursion depth exceeded")
+    assert flat.transcript == DEPTH_PROBES["flat-sum"][0]
 
 def test_run_problem_client_failure(tmp_path):
     problem = Problem("p1", "not in cassette", F(1))
