@@ -9,6 +9,7 @@ the solver.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,10 +21,11 @@ RationalLike = Union[Fraction, int]
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Bounds on every exact power.  Word-problem equations use tiny powers;
-# anything near these limits is an adversarial transcript.  The result-size
-# cap, in bits, stays below CPython's default 4,300-digit limit on int-to-str
-# conversion (about 14,284 bits), so any folded power can still be printed.
+# Bounds on every exact power, product and quotient.  Word-problem equations
+# use tiny values; anything near these limits is an adversarial transcript.
+# The size cap, in bits, stays below CPython's default 4,300-digit limit on
+# int-to-str conversion (about 14,284 bits), so any such value can still be
+# printed.
 MAX_EXPONENT = 10_000
 MAX_POWER_BITS = 14_000
 
@@ -50,8 +52,14 @@ class NonIntegerExponentError(ExprError):
 
 
 class ExponentTooLargeError(ExprError):
-    def __init__(self, exponent: int):
-        super().__init__(f"exponent {exponent} exceeds the supported magnitude")
+    """A power whose exponent is too large, or (exponent None) a product or
+    quotient whose value exceeds MAX_POWER_BITS."""
+
+    def __init__(self, exponent: Fraction | int | None = None):
+        super().__init__(
+            f"value exceeds {MAX_POWER_BITS} bits" if exponent is None
+            else f"exponent {exponent} exceeds the supported magnitude"
+        )
         self.exponent = exponent
 
 
@@ -165,8 +173,9 @@ def eval_exact(expr: Expr, bindings: Mapping[str, RationalLike] | None = None) -
 
     Raises UnboundVariableError for a free variable without a binding,
     DivisionByZeroError for a zero denominator (including 0 to a negative
-    power), and NonIntegerExponentError when a Pow exponent does not
-    evaluate to an integer.
+    power), NonIntegerExponentError when a Pow exponent is not an integer
+    and the power is not an exact rational, and ExponentTooLargeError for a
+    power, product or quotient over the size bounds.
     """
     bindings = bindings or {}
     if isinstance(expr, Num):
@@ -183,33 +192,74 @@ def eval_exact(expr: Expr, bindings: Mapping[str, RationalLike] | None = None) -
     if isinstance(expr, Sub):
         return eval_exact(expr.left, bindings) - eval_exact(expr.right, bindings)
     if isinstance(expr, Mul):
-        return eval_exact(expr.left, bindings) * eval_exact(expr.right, bindings)
+        return _bounded(eval_exact(expr.left, bindings) * eval_exact(expr.right, bindings))
     if isinstance(expr, Div):
         denom = eval_exact(expr.right, bindings)
         if denom == 0:
             raise DivisionByZeroError()
-        return eval_exact(expr.left, bindings) / denom
+        return _bounded(eval_exact(expr.left, bindings) / denom)
     if isinstance(expr, Pow):
         exponent = eval_exact(expr.exponent, bindings)
-        if exponent.denominator != 1:
-            raise NonIntegerExponentError(exponent)
-        return exact_power(eval_exact(expr.base, bindings), int(exponent))
+        return exact_power(eval_exact(expr.base, bindings), exponent)
     raise TypeError(f"unknown node: {type(expr).__name__}")
 
 
-def exact_power(base: Fraction, power: int) -> Fraction:
+def _bounded(value: Fraction) -> Fraction:
+    """`value`, or ExponentTooLargeError when it exceeds MAX_POWER_BITS."""
+    if value.numerator.bit_length() + value.denominator.bit_length() > MAX_POWER_BITS:
+        raise ExponentTooLargeError()
+    return value
+
+
+def exact_power(base: Fraction, power: Fraction | int) -> Fraction:
     """`base ** power`, the one rule every exact power goes through.
 
-    Raises ExponentTooLargeError when |power| exceeds MAX_EXPONENT or the
-    result could exceed MAX_POWER_BITS, and DivisionByZeroError for zero
-    to a negative power.
+    A power p/q in lowest terms with q > 1 is the p-th power of the q-th
+    root of `base` when that root is rational, else NonIntegerExponentError
+    (a negative base has none).  Raises ExponentTooLargeError when |p| or q
+    exceeds MAX_EXPONENT or the result could exceed MAX_POWER_BITS, and
+    DivisionByZeroError for zero to a negative power.
     """
+    if power.denominator != 1:
+        if power.denominator > MAX_EXPONENT:
+            raise ExponentTooLargeError(power)
+        root = exact_root(base, power.denominator)
+        if root is None:
+            raise NonIntegerExponentError(power)
+        base, power = root, power.numerator
+    power = int(power)
     size = base.numerator.bit_length() + base.denominator.bit_length()
     if abs(power) > MAX_EXPONENT or size * abs(power) > MAX_POWER_BITS:
         raise ExponentTooLargeError(power)
     if base == 0 and power < 0:
         raise DivisionByZeroError("zero raised to a negative power")
     return base**power
+
+
+def exact_root(value: Fraction, degree: int) -> Fraction | None:
+    """The rational `degree`-th root of `value` >= 0, or None if it has none."""
+    if value < 0:
+        return None
+    num = _integer_root(value.numerator, degree)
+    den = _integer_root(value.denominator, degree)
+    if num**degree == value.numerator and den**degree == value.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def _integer_root(n: int, degree: int) -> int:
+    """floor(n ** (1 / degree)) for n >= 0, by integer Newton steps."""
+    if degree == 2:
+        return math.isqrt(n)
+    bits = n.bit_length()
+    if degree >= bits:  # 2 ** degree > n
+        return min(n, 1)
+    x = 1 << -(-bits // degree)  # above the root; the steps descend to it
+    while True:
+        y = ((degree - 1) * x + n // x ** (degree - 1)) // degree
+        if y >= x:
+            return x
+        x = y
 
 
 def substitute(expr: Expr, var: str, replacement: Expr) -> Expr:
@@ -291,7 +341,9 @@ def polynomial(expr: Expr, max_degree: int) -> dict[Monomial, Fraction]:
     an exponent that is, anything but a constant; a non-integer exponent; a
     negative power of a variable-bearing base) or when a product at any
     step would exceed total degree `max_degree`.  Raises DivisionByZeroError
-    for a zero constant divisor.  Constant powers fold by `exact_power`.
+    for a zero constant divisor, and ExponentTooLargeError for a product or
+    quotient coefficient over MAX_POWER_BITS.  Constant powers with an
+    integer exponent fold by `exact_power`.
     """
     if isinstance(expr, Num):
         return {(): expr.value} if expr.value else {}
@@ -351,7 +403,7 @@ def _degree(terms: dict[Monomial, Fraction]) -> int:
 
 
 def _scale(terms: dict[Monomial, Fraction], factor: Fraction) -> dict[Monomial, Fraction]:
-    return {monomial: coeff * factor for monomial, coeff in terms.items()} if factor else {}
+    return {monomial: _bounded(coeff * factor) for monomial, coeff in terms.items()} if factor else {}
 
 
 def _multiply(
@@ -371,7 +423,7 @@ def _multiply(
                 powers[name] = powers.get(name, 0) + power
             monomial = tuple(sorted(powers.items()))
             out[monomial] = out.get(monomial, 0) + left_coeff * right_coeff
-    return {monomial: coeff for monomial, coeff in out.items() if coeff}
+    return {monomial: _bounded(coeff) for monomial, coeff in out.items() if coeff}
 
 
 def linear_form(expr: Expr) -> LinearForm:

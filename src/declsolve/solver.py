@@ -8,8 +8,9 @@ Strategy pipeline, cheapest first:
    visited again, so a chain costs time linear in its length in any order;
 2. exact fraction-free Gauss-Jordan elimination (Bareiss) over the integers
    when the residual is linear;
-3. isolating a univariate equation (exact for degree <= 2, a bisection /
-   Newton hybrid beyond) and branching over its roots.
+3. isolating a univariate equation (exact for a polynomial, by real-root
+   isolation beyond degree 2; a bisection / Newton hybrid on a float grid
+   for anything else) and branching over its roots.
 
 All arithmetic on the exact path is over `fractions.Fraction`; floats only
 appear for irrational or numerically-found roots, and any value derived
@@ -36,6 +37,7 @@ from .exprs import (
     Sub,
     Var,
     eval_exact,
+    exact_root,
     format_rational,
     free_vars,
     linear_form,
@@ -43,6 +45,7 @@ from .exprs import (
     substitute,
 )
 from .parsing import EqDecl, SolutionScript, VarDecl
+from .roots import IsolationError, real_roots
 
 Equation = tuple[Expr, Expr]
 
@@ -291,23 +294,12 @@ def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
 # --------------------------------------------------------------------------
 # Univariate equations
 
-def _sqrt_exact(value: Fraction) -> Fraction | None:
-    """The exact rational square root, or None if there is none."""
-    if value < 0:
-        return None
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num == value.numerator and den * den == value.denominator:
-        return Fraction(num, den)
-    return None
-
-
 def _quadratic_roots(c0: Fraction, c1: Fraction, c2: Fraction) -> list[Value]:
     """Roots of c2*x^2 + c1*x + c0, exact when the discriminant allows."""
     discriminant = c1 * c1 - 4 * c2 * c0
     if discriminant < 0:
         raise NoRealRootError("negative discriminant")
-    root = _sqrt_exact(discriminant)
+    root = exact_root(discriminant, 2)
     if root is not None:
         if root == 0:
             return [-c1 / (2 * c2)]
@@ -439,19 +431,26 @@ def _solve_univariate(equation: Equation, var: str) -> tuple[list[Value], str]:
         terms = None
     except ExprError as err:
         raise NumericDivergenceError(str(err)) from err
-    if terms is not None:
-        degree = max((monomial[0][1] if monomial else 0 for monomial in terms), default=-1)
-        coeffs = [terms.get(((var, k),) if k else (), Fraction(0)) for k in range(degree + 1)]
-        if len(coeffs) == 0:
-            raise UnderdeterminedError("equation holds for every value")
-        if len(coeffs) == 1:
-            raise NoRealRootError("equation reduces to a false constant identity")
-        if len(coeffs) == 2:
-            return [-coeffs[0] / coeffs[1]], "linear-elimination"
-        if len(coeffs) == 3:
-            return _quadratic_roots(coeffs[0], coeffs[1], coeffs[2]), "quadratic"
-    roots = [_snap_exact(residual, var, r) for r in _numeric_roots(residual, var)]
-    return roots, "numeric"
+    if terms is None:
+        return [_snap_exact(residual, var, r) for r in _numeric_roots(residual, var)], "numeric"
+    degree = max((monomial[0][1] if monomial else 0 for monomial in terms), default=-1)
+    coeffs = [terms.get(((var, k),) if k else (), Fraction(0)) for k in range(degree + 1)]
+    if len(coeffs) == 0:
+        raise UnderdeterminedError("equation holds for every value")
+    if len(coeffs) == 1:
+        raise NoRealRootError("equation reduces to a false constant identity")
+    if len(coeffs) == 2:
+        return [-coeffs[0] / coeffs[1]], "linear-elimination"
+    if len(coeffs) == 3:
+        return _quadratic_roots(coeffs[0], coeffs[1], coeffs[2]), "quadratic"
+    common = math.lcm(*(c.denominator for c in coeffs))
+    try:
+        roots = real_roots([c.numerator * (common // c.denominator) for c in coeffs])
+    except IsolationError as err:
+        raise NumericDivergenceError(str(err)) from err
+    if not roots:
+        raise NoRealRootError()
+    return roots, "polynomial"
 
 
 def _snap_exact(residual: Expr, var: str, root: float) -> Value:
@@ -477,9 +476,10 @@ def solve_univariate(equation: Equation, var: str) -> list[Value]:
     """Real roots, exact (Fraction) where possible, else approximate (float).
 
     Degree 1 solves exactly; degree 2 by the quadratic formula (exact when
-    the discriminant is a rational square); everything else falls back to
-    the numeric hybrid with |f(root)| < 1e-9 convergence and roots deduped
-    within 1e-7.
+    the discriminant is a rational square); degree 3 to 32 by real-root
+    isolation, which finds every real root (rational ones exactly, others
+    correctly rounded).  Anything else falls back to the numeric hybrid
+    with |f(root)| < 1e-9 convergence and roots deduped within 1e-7.
     """
     roots, _ = _solve_univariate(equation, var)
     return roots

@@ -17,7 +17,6 @@ from declsolve.client import (
     CompletionRequest,
     EndpointError,
     Live,
-    RecordThrough,
     Replay,
     RequestTimeoutError,
     append_record,
@@ -300,11 +299,11 @@ def test_live_malformed_body_is_an_endpoint_error():
         complete(req(), Live("https://example.invalid"), transport=transport, sleep=no_sleep)
 
 
-# --- record-through ----------------------------------------------------------------
+# --- live with a cassette (record-through) ---------------------------------------
 
 def test_record_through_records_then_replays(tmp_path):
     path = tmp_path / "c.jsonl"
-    mode = RecordThrough("https://example.invalid", str(path))
+    mode = Live("https://example.invalid", str(path))
     transport = FakeTransport([(200, ok_body(" fresh"))])
     assert complete(req(), mode, transport=transport, sleep=no_sleep) == " fresh"
     # second call is served from the cassette: no transport interaction
@@ -316,7 +315,7 @@ def test_record_through_records_then_replays(tmp_path):
 
 def test_record_through_appends_full_records(tmp_path):
     path = tmp_path / "c.jsonl"
-    mode = RecordThrough("https://example.invalid", str(path))
+    mode = Live("https://example.invalid", str(path))
     complete(req(), mode, transport=FakeTransport([(200, ok_body("t"))]), sleep=no_sleep)
     record = json.loads(path.read_text().strip())
     assert record["fingerprint"] == fingerprint(req())
@@ -327,7 +326,7 @@ def test_record_through_appends_full_records(tmp_path):
 
 def test_record_through_is_thread_safe(tmp_path):
     path = tmp_path / "many.jsonl"
-    mode = RecordThrough("https://example.invalid", str(path))
+    mode = Live("https://example.invalid", str(path))
     requests_ = [req(f"prompt {i}") for i in range(16)]
 
     def transport(url, payload, headers, timeout):

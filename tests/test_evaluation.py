@@ -1,4 +1,5 @@
 import json
+import random
 import threading
 import time
 from fractions import Fraction
@@ -202,7 +203,8 @@ def test_run_problem_solver_failure(tmp_path):
 def test_run_problem_bounds_complex_and_huge_powers(tmp_path, transcript, verdict):
     """A negative base to a fractional power is no value on the float grid,
     and an exact power too large to compute or print is a solver failure;
-    neither aborts the run nor takes long."""
+    neither aborts the run nor takes long.  A fractional power with a
+    rational root is exact, so `x ^ 0.5 = 3` snaps to 9."""
     problem = Problem("p1", "Q?", F(9))
     mode = cassette_for(tmp_path, SPEC, [(problem.question, transcript)])
     start = time.perf_counter()
@@ -210,7 +212,66 @@ def test_run_problem_bounds_complex_and_huge_powers(tmp_path, transcript, verdic
     assert time.perf_counter() - start < 1
     assert record.verdict == verdict
     if verdict == CORRECT:
-        assert record.predicted == pytest.approx(9)
+        assert record.predicted == 9 and isinstance(record.predicted, Fraction)
+
+
+def _polynomial_text(coefficients):
+    return " + ".join(f"({c}) * x ^ {k}" for k, c in enumerate(coefficients) if c)
+
+
+_DEGREE_32 = [random.Random(32).randint(-9, 9) for _ in range(32)] + [3]
+_SQUARING = "[[var a0]] [[a0 = 2 ^ 4600]] " + " ".join(
+    f"[[var a{i}]] [[a{i} = a{i - 1} * a{i - 1}]]" for i in range(1, 13)
+)
+
+# (transcript, gold, verdict, predicted or None, detail or None)
+POLYNOMIAL_PROBES = {
+    "random-degree-32": (
+        f"[[var x]] [[{_polynomial_text(_DEGREE_32)} = 0]] [[answer = x]]",
+        F(0), None, None, None,
+    ),
+    "x^32=2": (
+        "[[var x]] [[x ^ 32 = 2]] [[answer = x]]",
+        F(2 ** (1 / 32)), CORRECT, 2 ** (1 / 32), None,
+    ),
+    "(x-1)^8=0": ("[[var x]] [[(x - 1) ^ 8 = 0]] [[answer = x]]", F(1), CORRECT, F(1), None),
+    "huge-irrational-roots": (
+        "[[var x]] [[x ^ 3 - 3 ^ 2000 * x = 1]] [[answer = x]]",
+        F(0), SOLVER_FAILURE, None, "an irrational root lies outside the range of a float",
+    ),
+    "huge-rational-root": (
+        "[[var x]] [[x ^ 3 = 3 ^ 3000]] [[answer = x]]",
+        F(3**1000), CORRECT, F(3**1000), None,
+    ),
+    "17-roots": (
+        "[[var x]] [[" + " * ".join(f"(x - {k})" for k in range(1, 18)) + " = 0]] [[answer = x]]",
+        F(1), SOLVER_FAILURE, None, "root branching exceeded 16 branches",
+    ),
+    "squaring-chain": (
+        _SQUARING + " [[answer = a12]]",
+        F(0), SOLVER_FAILURE, None, "value exceeds 14000 bits",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(POLYNOMIAL_PROBES))
+def test_run_problem_bounds_polynomial_roots_and_products(tmp_path, name):
+    """Every polynomial of degree 3 to 32 goes through exact root isolation,
+    and every exact product is held to the size budget: each probe is a
+    record within 1 s, and none fails with OverflowError."""
+    transcript, gold, verdict, predicted, detail = POLYNOMIAL_PROBES[name]
+    problem = Problem("p1", "Q?", gold)
+    mode = cassette_for(tmp_path, SPEC, [(problem.question, transcript)])
+    start = time.perf_counter()
+    record = run_problem(problem, SPEC, CONFIG, mode)
+    assert time.perf_counter() - start < 1
+    assert "OverflowError" not in record.detail
+    if verdict is not None:
+        assert record.verdict == verdict, record.detail
+    if predicted is not None:
+        assert record.predicted == predicted and type(record.predicted) is type(predicted)
+    if detail is not None:
+        assert record.detail == detail
 
 
 

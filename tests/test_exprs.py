@@ -73,6 +73,11 @@ def test_eval_exact_basics():
     assert eval_exact(Div(Num(7), Num(2))) == Fraction(7, 2)
     assert eval_exact(Pow(Num(2), Num(10))) == 1024
     assert eval_exact(Pow(Num(2), Neg(Num(2)))) == Fraction(1, 4)
+    # A fractional power is exact when the root is rational.
+    assert eval_exact(Pow(Num(16), Num(Fraction(1, 2)))) == 4
+    assert eval_exact(Pow(Num(Fraction(4, 9)), Num(Fraction(3, 2)))) == Fraction(8, 27)
+    assert eval_exact(Pow(Num(Fraction(1, 8)), Num(Fraction(-2, 3)))) == 4
+    assert eval_exact(Pow(Num(3**40), Num(Fraction(1, 20)))) == 9
 
 
 def test_eval_exact_errors():
@@ -84,12 +89,25 @@ def test_eval_exact_errors():
         eval_exact(Pow(Num(0), Num(-1)))
     with pytest.raises(NonIntegerExponentError):
         eval_exact(Pow(Num(2), Num(Fraction(1, 2))))
+    with pytest.raises(NonIntegerExponentError):
+        eval_exact(Pow(Sub(Num(0), Num(4)), Num(Fraction(1, 2))))
+    with pytest.raises(NonIntegerExponentError):
+        eval_exact(Pow(Num(3**40 + 1), Num(Fraction(1, 20))))
     with pytest.raises(ExponentTooLargeError):
         eval_exact(Pow(Num(2), Num(100_000)))
     # The result size is bounded too, before anything is computed.
     start = time.perf_counter()
     for expr in (Pow(Num(9), Num(9999)), Pow(Pow(Num(9), Num(999)), Num(9999))):
         with pytest.raises(ExponentTooLargeError):
+            eval_exact(expr)
+    # So is every product and quotient, against the same budget.
+    big = Pow(Num(2), Num(4600))
+    assert eval_exact(Mul(big, big)) == 2**9200
+    squares = big
+    for _ in range(12):
+        squares = Mul(squares, squares)
+    for expr in (squares, Div(Mul(big, big), Div(Num(1), Pow(Num(3), Num(4000))))):
+        with pytest.raises(ExponentTooLargeError, match=f"exceeds {MAX_POWER_BITS} bits"):
             eval_exact(expr)
     assert time.perf_counter() - start < 1
 
@@ -158,6 +176,11 @@ def test_polynomial_expands_to_sparse_monomials():
         polynomial(Pow(Num(2), x), 2)
     with pytest.raises(DivisionByZeroError):
         polynomial(Div(x, x - x), 1)
+    big = Num(Fraction(2**8000, 3))
+    with pytest.raises(ExponentTooLargeError):
+        polynomial(big * x * big, 1)
+    with pytest.raises(ExponentTooLargeError):
+        polynomial((x + big) * (x + big), 2)
 
 
 def test_format_rational():

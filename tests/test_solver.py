@@ -498,6 +498,101 @@ def test_univariate_rejects_multi_variable_equations():
         solve_univariate(_eq("x + y", "1"), "x")
 
 
+def test_univariate_polynomial_finds_every_real_root():
+    """Degree 3 and up is isolated exactly: clustered, repeated and many
+    roots all come back, rational ones as Fractions, the others correctly
+    rounded, under the `polynomial` trace label."""
+    roots, method = solver._solve_univariate(_eq("x ^ 3 - 6 * x ^ 2 + 11 * x", "6"), "x")
+    assert (roots, method) == ([F(1), F(2), F(3)], "polynomial")
+    assert solve_univariate(_eq("(x - 1) ^ 8", "0"), "x") == [F(1)]
+    assert solve_univariate(_eq("x ^ 3", "2"), "x") == [1.2599210498948732]
+    sixteen = " * ".join(f"(x - {k})" for k in range(1, 17))
+    assert solve_univariate(_eq(sixteen, "0"), "x") == [F(k) for k in range(1, 17)]
+    assert solve_univariate(_eq("x ^ 3", "3 ^ 3000"), "x") == [F(3**1000)]
+    outcome = solve_script(script_from_transcript(
+        "[[var x]] [[x ^ 3 - 6 * x ^ 2 + 11 * x = 6]] [[answer = x]]"
+    ))
+    assert outcome.candidates == (F(1), F(2), F(3))
+    assert outcome.trace == ("polynomial: x in {1, 2, 3}",)
+
+
+# --- univariate roots against SymPy ------------------------------------------------
+
+def _times(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _oracle_polynomial(kind, rng):
+    """Coefficients, lowest first, of a random polynomial of degree 3-8:
+    a product of rational linear factors, or of linear factors and at
+    least one quadratic with irrational real roots, or of quadratics with
+    no real root."""
+    degree = rng.randint(3, 8)
+    if kind == "no-real-root":
+        degree += degree % 2
+    # Linear factors take roots from a small pool, so that repeated roots
+    # and roots one apart (several in one grid decade) are common.
+    low = F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4]))
+    pool = [low + F(k, rng.choice([1, 1, 2])) for k in range(4)]
+    factors = []
+    while sum(len(f) - 1 for f in factors) < degree:
+        if kind == "rational" or (factors and rng.random() < 0.5):
+            factors.append([-rng.choice(pool), F(1)])
+            continue
+        b, c = F(rng.randint(-9, 9), rng.randint(1, 3)), F(rng.randint(-20, 20), rng.randint(1, 3))
+        disc = b * b - 4 * c
+        product = abs(disc.numerator * disc.denominator)  # a square iff disc is
+        square = math.isqrt(product) ** 2 == product
+        wanted = disc < 0 if kind == "no-real-root" else disc > 0 and not square
+        if wanted and sum(len(f) - 1 for f in factors) + 2 <= degree:
+            factors.append([c, b, F(1)])
+    coefficients = [F(rng.randint(1, 5), rng.randint(1, 3))]
+    for factor in factors:
+        coefficients = _times(coefficients, factor)
+    return coefficients
+
+
+def _sympy_real_roots(sympy, coefficients):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coefficients)], x)
+    roots = sorted(set(poly.real_roots()), key=lambda r: float(r.evalf(50)))
+    return [F(int(r.p), int(r.q)) if r.is_Rational else float(r.evalf(50)) for r in roots]
+
+
+@pytest.mark.parametrize("kind", ["rational", "irrational", "no-real-root"])
+def test_univariate_roots_agree_with_sympy(kind):
+    """The whole candidate set against SymPy's real roots: rational roots as
+    equal Fractions, irrational ones as floats within ROOT_DEDUPE_TOLERANCE
+    (relative), and no real root as NoRealRootError."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"oracle-{kind}")
+    x = Var("x")
+    cases = [[F(-6), F(11), F(-6), F(1)]] if kind == "rational" else []
+    cases += [_oracle_polynomial(kind, rng) for _ in range(40)]
+    for coefficients in cases:
+        assert 3 <= len(coefficients) - 1 <= 8
+        expr = Num(coefficients[0])
+        for power, coeff in enumerate(coefficients[1:], 1):
+            expr = Add(expr, Mul(Num(coeff), Pow(x, Num(power))))
+        expected = _sympy_real_roots(sympy, coefficients)
+        if not expected:
+            with pytest.raises(NoRealRootError):
+                solve_univariate((expr, Num(0)), "x")
+            continue
+        got = solve_univariate((expr, Num(0)), "x")
+        assert len(got) == len(expected), (coefficients, got, expected)
+        for value, want in zip(got, expected):
+            assert type(value) is type(want), (coefficients, got, expected)
+            if isinstance(want, F):
+                assert value == want
+            else:
+                assert abs(value - want) <= solver.ROOT_DEDUPE_TOLERANCE * max(1.0, abs(want))
+
+
 # --- full pipeline ----------------------------------------------------------------
 
 def test_solve_system_substitution_only():
