@@ -5,15 +5,23 @@ so evaluation, substitution and polynomial expansion never round.  Trees
 are immutable and are never simplified on construction: `x + 0` stays
 `x + 0` so that parsed text round-trips exactly.  Simplification belongs to
 the solver.
+
+Every pass over a tree (evaluation, substitution, expansion, rendering and
+the rest) is one walk: `postorder` lists the nodes, each after its operands,
+with an explicit stack, and `fold` reduces that list with one function per
+node kind.  So a tree of any depth is walked without recursion, and a caller
+that evaluates one tree many times walks it once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from functools import partial
+from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -168,6 +176,51 @@ def as_expr(value: Expr | RationalLike) -> Expr:
     raise TypeError(f"cannot coerce {type(value).__name__} to Expr")
 
 
+def postorder(expr: Expr) -> list[Expr]:
+    """Every node of `expr`, each after its operands, left operand first.
+
+    The one tree walk.  It keeps an explicit stack, so it takes any depth;
+    every other pass folds the list it returns.
+    """
+    order = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        kind = type(node)
+        if kind in _BINARY_KINDS:
+            stack += (node.left, node.right)
+        elif kind is Pow:
+            stack += (node.base, node.exponent)
+        elif kind is Neg:
+            stack.append(node.child)
+        elif kind is not Num and kind is not Var:
+            raise TypeError(f"unknown node: {kind.__name__}")
+    order.reverse()  # node, right, left pre-order, reversed
+    return order
+
+
+def fold(nodes: Sequence[Expr], leaf: Callable[[Expr], Any], operations: Mapping) -> Any:
+    """Reduce a `postorder` list bottom-up to the value of its last node.
+
+    `leaf` gives the value of a Num or Var node, and `operations[kind]` that
+    of any other node from its operands' values: one for Neg, two (left and
+    right, or base and exponent) for the others.  Both operands of a node
+    are reduced before its operation runs, left first.
+    """
+    values = []
+    for node in nodes:
+        kind = type(node)
+        if kind is Num or kind is Var:
+            values.append(leaf(node))
+        elif kind is Neg:
+            values[-1] = operations[Neg](values[-1])
+        else:
+            right = values.pop()
+            values[-1] = operations[kind](values[-1], right)
+    return values[-1]
+
+
 def eval_exact(expr: Expr, bindings: Mapping[str, RationalLike] | None = None) -> Fraction:
     """Evaluate `expr` to an exact rational under `bindings`.
 
@@ -175,33 +228,25 @@ def eval_exact(expr: Expr, bindings: Mapping[str, RationalLike] | None = None) -
     DivisionByZeroError for a zero denominator (including 0 to a negative
     power), NonIntegerExponentError when a Pow exponent is not an integer
     and the power is not an exact rational, and ExponentTooLargeError for a
-    power, product or quotient over the size bounds.
+    power, product or quotient over the size bounds.  Where several nodes
+    would fail, the first in `postorder` raises.
     """
     bindings = bindings or {}
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return Fraction(bindings[expr.name])
-        except KeyError:
-            raise UnboundVariableError(expr.name) from None
-    if isinstance(expr, Neg):
-        return -eval_exact(expr.child, bindings)
-    if isinstance(expr, Add):
-        return eval_exact(expr.left, bindings) + eval_exact(expr.right, bindings)
-    if isinstance(expr, Sub):
-        return eval_exact(expr.left, bindings) - eval_exact(expr.right, bindings)
-    if isinstance(expr, Mul):
-        return _bounded(eval_exact(expr.left, bindings) * eval_exact(expr.right, bindings))
-    if isinstance(expr, Div):
-        denom = eval_exact(expr.right, bindings)
-        if denom == 0:
-            raise DivisionByZeroError()
-        return _bounded(eval_exact(expr.left, bindings) / denom)
-    if isinstance(expr, Pow):
-        exponent = eval_exact(expr.exponent, bindings)
-        return exact_power(eval_exact(expr.base, bindings), exponent)
-    raise TypeError(f"unknown node: {type(expr).__name__}")
+
+    def leaf(node: Expr) -> Fraction:
+        if type(node) is Num:
+            return node.value
+        if node.name not in bindings:
+            raise UnboundVariableError(node.name)
+        return Fraction(bindings[node.name])
+
+    return fold(postorder(expr), leaf, _EXACT_OPERATIONS)
+
+
+def _exact_quotient(left: Fraction, right: Fraction) -> Fraction:
+    if right == 0:
+        raise DivisionByZeroError()
+    return _bounded(left / right)
 
 
 def _bounded(value: Fraction) -> Fraction:
@@ -264,56 +309,21 @@ def _integer_root(n: int, degree: int) -> int:
 
 def substitute(expr: Expr, var: str, replacement: Expr) -> Expr:
     """Replace every Var(var) node by a copy of `replacement`."""
-    if isinstance(expr, Var):
-        return replacement if expr.name == var else expr
-    if isinstance(expr, (Num,)):
-        return expr
-    if isinstance(expr, Neg):
-        return Neg(substitute(expr.child, var, replacement))
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        return type(expr)(
-            substitute(expr.left, var, replacement),
-            substitute(expr.right, var, replacement),
-        )
-    if isinstance(expr, Pow):
-        return Pow(
-            substitute(expr.base, var, replacement),
-            substitute(expr.exponent, var, replacement),
-        )
-    raise TypeError(f"unknown node: {type(expr).__name__}")
+
+    def leaf(node: Expr) -> Expr:
+        return replacement if type(node) is Var and node.name == var else node
+
+    return fold(postorder(expr), leaf, _REBUILD)
 
 
 def free_vars(expr: Expr) -> set[str]:
     """The set of variable names occurring in the tree."""
-    out: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Neg):
-            stack.append(node.child)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-            stack.append(node.exponent)
-    return out
+    return {node.name for node in postorder(expr) if type(node) is Var}
 
 
 def iter_numerals(expr: Expr) -> Iterator[Fraction]:
     """Yield the value of every Num leaf, in tree order."""
-    if isinstance(expr, Num):
-        yield expr.value
-    elif isinstance(expr, Neg):
-        yield from iter_numerals(expr.child)
-    elif isinstance(expr, (Add, Sub, Mul, Div)):
-        yield from iter_numerals(expr.left)
-        yield from iter_numerals(expr.right)
-    elif isinstance(expr, Pow):
-        yield from iter_numerals(expr.base)
-        yield from iter_numerals(expr.exponent)
+    return (node.value for node in postorder(expr) if type(node) is Num)
 
 
 @dataclass(frozen=True)
@@ -332,90 +342,98 @@ class LinearForm:
 
 # A monomial is a sorted tuple of (name, power) pairs; the constant one is ().
 Monomial = tuple[tuple[str, int], ...]
+Terms = dict[Monomial, Fraction]
 
 
-def polynomial(expr: Expr, max_degree: int) -> dict[Monomial, Fraction]:
+def polynomial(expr: Expr, max_degree: int) -> Terms:
     """Expand `expr` into {monomial: coefficient}, with no zero coefficients.
 
     Raises NonLinearError when `expr` is not a polynomial (division by, or
-    an exponent that is, anything but a constant; a non-integer exponent; a
+    an exponent that is, anything but a constant; a non-integer exponent on
+    a variable-bearing base, or one `exact_power` refuses on a constant; a
     negative power of a variable-bearing base) or when a product at any
     step would exceed total degree `max_degree`.  Raises DivisionByZeroError
     for a zero constant divisor, and ExponentTooLargeError for a product or
-    quotient coefficient over MAX_POWER_BITS.  Constant powers with an
-    integer exponent fold by `exact_power`.
+    quotient coefficient over MAX_POWER_BITS.  Constant powers fold by
+    `exact_power`, as in `eval_exact`.
     """
-    if isinstance(expr, Num):
-        return {(): expr.value} if expr.value else {}
-    if isinstance(expr, Var):
-        return {((expr.name, 1),): Fraction(1)}
-    if isinstance(expr, Neg):
-        return _scale(polynomial(expr.child, max_degree), Fraction(-1))
-    if isinstance(expr, (Add, Sub)):
-        out = polynomial(expr.left, max_degree)
-        sign = 1 if isinstance(expr, Add) else -1
-        for monomial, coeff in polynomial(expr.right, max_degree).items():
-            total = out.get(monomial, 0) + sign * coeff
-            if total:
-                out[monomial] = total
-            else:
-                del out[monomial]
-        return out
-    if isinstance(expr, Mul):
-        left = polynomial(expr.left, max_degree)
-        return _multiply(left, polynomial(expr.right, max_degree), max_degree)
-    if isinstance(expr, Div):
-        left = polynomial(expr.left, max_degree)
-        divisor = _constant(polynomial(expr.right, max_degree))
-        if divisor is None:
-            raise NonLinearError("division by a variable-bearing expression")
-        if divisor == 0:
-            raise DivisionByZeroError()
-        return _scale(left, 1 / divisor)
-    if isinstance(expr, Pow):
-        exponent = _constant(polynomial(expr.exponent, max_degree))
-        if exponent is None or exponent.denominator != 1:
-            raise NonLinearError("unsupported exponent")
-        power = int(exponent)
-        base = polynomial(expr.base, max_degree)
-        constant = _constant(base)
-        if constant is not None:
-            value = exact_power(constant, power)
-            return {(): value} if value else {}
-        if power < 0 or _degree(base) * power > max_degree:
-            raise NonLinearError("variable-bearing power")
-        out = {(): Fraction(1)}
-        for _ in range(power):
-            out = _multiply(out, base, max_degree)
-        return out
-    raise TypeError(f"unknown node: {type(expr).__name__}")
+    operations = _TERM_OPERATIONS | {
+        Mul: partial(_multiply, max_degree=max_degree),
+        Pow: partial(_power, max_degree=max_degree),
+    }
+    return fold(postorder(expr), _leaf_terms, operations)
 
 
-def _constant(terms: dict[Monomial, Fraction]) -> Fraction | None:
+def _leaf_terms(node: Expr) -> Terms:
+    if type(node) is Var:
+        return {((node.name, 1),): Fraction(1)}
+    return {(): node.value} if node.value else {}
+
+
+def _add(left: Terms, right: Terms, sign: int = 1) -> Terms:
+    for monomial, coeff in right.items():
+        total = left.get(monomial, 0) + sign * coeff
+        if total:
+            left[monomial] = total
+        else:
+            del left[monomial]
+    return left
+
+
+def _divide(left: Terms, right: Terms) -> Terms:
+    divisor = _constant(right)
+    if divisor is None:
+        raise NonLinearError("division by a variable-bearing expression")
+    if divisor == 0:
+        raise DivisionByZeroError()
+    return _scale(left, 1 / divisor)
+
+
+def _power(base: Terms, exponent_terms: Terms, max_degree: int) -> Terms:
+    exponent = _constant(exponent_terms)
+    constant = _constant(base)
+    if exponent is None or (exponent.denominator != 1 and constant is None):
+        raise NonLinearError("unsupported exponent")
+    if constant is not None:
+        try:
+            value = exact_power(constant, exponent)
+        except ExprError:
+            if exponent.denominator == 1:
+                raise
+            raise NonLinearError("unsupported exponent") from None
+        return {(): value} if value else {}
+    power = int(exponent)
+    if power < 0 or _degree(base) * power > max_degree:
+        raise NonLinearError("variable-bearing power")
+    out = {(): Fraction(1)}
+    for _ in range(power):
+        out = _multiply(out, base, max_degree)
+    return out
+
+
+def _constant(terms: Terms) -> Fraction | None:
     """The value of a constant polynomial, or None if it has a variable."""
     if not terms:
         return Fraction(0)
     return terms.get(()) if len(terms) == 1 else None
 
 
-def _degree(terms: dict[Monomial, Fraction]) -> int:
+def _degree(terms: Terms) -> int:
     return max((sum(power for _, power in monomial) for monomial in terms), default=0)
 
 
-def _scale(terms: dict[Monomial, Fraction], factor: Fraction) -> dict[Monomial, Fraction]:
+def _scale(terms: Terms, factor: Fraction) -> Terms:
     return {monomial: _bounded(coeff * factor) for monomial, coeff in terms.items()} if factor else {}
 
 
-def _multiply(
-    left: dict[Monomial, Fraction], right: dict[Monomial, Fraction], max_degree: int
-) -> dict[Monomial, Fraction]:
+def _multiply(left: Terms, right: Terms, max_degree: int) -> Terms:
     for factor, other in ((left, right), (right, left)):
         constant = _constant(factor)
         if constant is not None:
             return _scale(other, constant)
     if _degree(left) + _degree(right) > max_degree:
         raise NonLinearError("product exceeds the degree bound")
-    out: dict[Monomial, Fraction] = {}
+    out: Terms = {}
     for left_monomial, left_coeff in left.items():
         for right_monomial, right_coeff in right.items():
             powers = dict(left_monomial)
@@ -436,10 +454,6 @@ def linear_form(expr: Expr) -> LinearForm:
     terms = polynomial(expr, 1)
     constant = terms.pop((), Fraction(0))
     return LinearForm({monomial[0][0]: coeff for monomial, coeff in terms.items()}, constant)
-
-
-def is_integral(value: Fraction) -> bool:
-    return value.denominator == 1
 
 
 def format_rational(value: Fraction) -> str:
@@ -474,9 +488,6 @@ def _format_literal(value: Fraction) -> str:
     return f"{sign}{magnitude // 10**digits}.{magnitude % 10**digits:0{digits}d}"
 
 
-_BINOP_SYMBOL = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-
-
 def render(expr: Expr) -> str:
     """Canonical text form: fully parenthesized infix.
 
@@ -487,15 +498,39 @@ def render(expr: Expr) -> str:
     integers or finite decimals — the image of the parser's numeral
     grammar.
     """
-    if isinstance(expr, Num):
-        return _format_literal(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"(-{render(expr.child)})"
-    if isinstance(expr, Pow):
-        return f"({render(expr.base)} ^ {render(expr.exponent)})"
-    symbol = _BINOP_SYMBOL.get(type(expr))
-    if symbol is not None:
-        return f"({render(expr.left)} {symbol} {render(expr.right)})"
-    raise TypeError(f"unknown node: {type(expr).__name__}")
+    return fold(postorder(expr), _render_leaf, _RENDER)
+
+
+def _render_leaf(node: Expr) -> str:
+    return node.name if type(node) is Var else _format_literal(node.value)
+
+
+_BINARY_KINDS = frozenset({Add, Sub, Mul, Div})
+
+# Plain float arithmetic, for callers that evaluate a tree at many points.
+# math.pow raises ValueError where `**` would return a complex number (a
+# negative base to a fractional power), so such a point has no value.
+FLOAT_OPERATIONS = {
+    Neg: operator.neg, Add: operator.add, Sub: operator.sub,
+    Mul: operator.mul, Div: operator.truediv, Pow: math.pow,
+}
+
+# Exact arithmetic holds every product, quotient and power to the bounds.
+_EXACT_OPERATIONS = {
+    **FLOAT_OPERATIONS,
+    Mul: lambda left, right: _bounded(left * right),
+    Div: _exact_quotient,
+    Pow: exact_power,
+}
+
+_REBUILD = {kind: kind for kind in FLOAT_OPERATIONS}
+
+# The rest of `polynomial`'s operations depend on its degree bound.
+_TERM_OPERATIONS = {
+    Neg: partial(_scale, factor=Fraction(-1)), Add: _add, Sub: partial(_add, sign=-1), Div: _divide,
+}
+
+_RENDER = {Neg: "(-{})".format} | {
+    kind: f"({{}} {symbol} {{}})".format
+    for kind, symbol in ((Add, "+"), (Sub, "-"), (Mul, "*"), (Div, "/"), (Pow, "^"))
+}

@@ -27,11 +27,12 @@ and the solution should use every number in the question (5, warning only).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exprs import Expr, Num, Var, Neg, Add, Sub, Mul, Div, Pow
+from .exprs import MAX_POWER_BITS, Expr, Num, Var, Neg, Add, Sub, Mul, Div, Pow
 from .exprs import format_rational, free_vars, iter_numerals, render
 
 Span = tuple[int, int]
@@ -153,6 +154,30 @@ def _numeral(digits: str) -> Fraction:
     return Fraction(int(whole))
 
 
+# The most significant digits a script numeral may have, its decimal places
+# counted twice (in the numerator and in the power of ten under it).  Any
+# numeral within it has a value within MAX_POWER_BITS.  It is checked before
+# int(), which refuses strings of over 4,300 digits.
+_MAX_NUMERAL_DIGITS = int(MAX_POWER_BITS / math.log2(10))
+
+
+def _bounded_numeral(text: str, position: int) -> Fraction:
+    """`_numeral(text)`, or ExprSyntaxError past _MAX_NUMERAL_DIGITS.
+
+    Leading zeros and trailing decimal zeros do not count.
+    """
+    if len(text) <= _MAX_NUMERAL_DIGITS // 2:  # any numeral this short fits
+        return _numeral(text)
+    whole, _, frac = text.partition(".")
+    frac = frac.rstrip("0")
+    digits = (whole + frac).lstrip("0")
+    if len(digits) + len(frac) > _MAX_NUMERAL_DIGITS:
+        raise ExprSyntaxError(
+            position, {f"a numeral of at most {MAX_POWER_BITS} bits"}, f"one of {len(text)} characters"
+        )
+    return Fraction(int(digits or "0"), 10 ** len(frac))
+
+
 def _tokenize(src: str, offset: int = 0) -> list[_Token]:
     tokens = []
     append = tokens.append
@@ -202,7 +227,7 @@ class _Parser:
         kind, text, pos = self.tokens[self.index]
         self.index += 1
         if kind == "num":
-            return Num(_numeral(text))
+            return Num(_bounded_numeral(text, pos))
         if kind == "ident":
             return Var(text)
         if text == "-":

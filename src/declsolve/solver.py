@@ -25,23 +25,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exprs import (
-    Add,
-    Div,
+    FLOAT_OPERATIONS,
     Expr,
     ExprError,
-    Mul,
-    Neg,
     NonLinearError,
     Num,
-    Pow,
-    Sub,
     Var,
     eval_exact,
     exact_root,
+    fold,
     format_rational,
     free_vars,
     linear_form,
     polynomial,
+    postorder,
     substitute,
 )
 from .parsing import EqDecl, SolutionScript, VarDecl
@@ -247,7 +244,7 @@ def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
     width = len(variables)
     rows: list[list[int]] = []
     for lhs, rhs in system.equations:
-        form = linear_form(Sub(lhs, rhs))
+        form = linear_form(lhs - rhs)
         row = [Fraction(0)] * (width + 1)
         for name, coeff in form.coefficients.items():
             row[column[name]] = coeff
@@ -311,28 +308,9 @@ def _quadratic_roots(c0: Fraction, c1: Fraction, c2: Fraction) -> list[Value]:
     return sorted([q / fa, float(c0) / q])
 
 
-def _eval_float(expr: Expr, var: str, value: float) -> float:
-    if isinstance(expr, Num):
-        return float(expr.value)
-    if isinstance(expr, Var):
-        if expr.name != var:
-            raise ValueError(f"unexpected variable {expr.name}")
-        return value
-    if isinstance(expr, Neg):
-        return -_eval_float(expr.child, var, value)
-    if isinstance(expr, Add):
-        return _eval_float(expr.left, var, value) + _eval_float(expr.right, var, value)
-    if isinstance(expr, Sub):
-        return _eval_float(expr.left, var, value) - _eval_float(expr.right, var, value)
-    if isinstance(expr, Mul):
-        return _eval_float(expr.left, var, value) * _eval_float(expr.right, var, value)
-    if isinstance(expr, Div):
-        return _eval_float(expr.left, var, value) / _eval_float(expr.right, var, value)
-    if isinstance(expr, Pow):
-        # ValueError where `**` would return a complex number (a negative
-        # base to a fractional power), so such a point has no value.
-        return math.pow(_eval_float(expr.base, var, value), _eval_float(expr.exponent, var, value))
-    raise TypeError(f"unknown node: {type(expr).__name__}")
+def _eval_float(nodes: list[Expr], x: float) -> float:
+    """The float value of a univariate `postorder` node list at `x`."""
+    return fold(nodes, lambda node: x if type(node) is Var else float(node.value), FLOAT_OPERATIONS)
 
 
 _GRID = sorted(
@@ -342,17 +320,16 @@ _GRID = sorted(
 )
 
 
-def _numeric_roots(residual: Expr, var: str) -> list[float]:
+def _numeric_roots(residual: Expr) -> list[float]:
     """Bisection over sign changes on a log-spaced grid, Newton-polished."""
+    nodes = postorder(residual)
 
     def f(x: float) -> float | None:
         try:
-            y = residual and _eval_float(residual, var, x)
+            y = _eval_float(nodes, x)
         except (ZeroDivisionError, OverflowError, ValueError):
             return None
-        if y is None or math.isnan(y) or math.isinf(y):
-            return None
-        return y
+        return y if math.isfinite(y) else None
 
     samples = [(x, f(x)) for x in _GRID]
     valid = [(x, y) for x, y in samples if y is not None]
@@ -380,9 +357,6 @@ def _numeric_roots(residual: Expr, var: str) -> list[float]:
         return x if y is not None and abs(y) < NUMERIC_TOLERANCE else None
 
     for (x0, y0), (x1, y1) in zip(valid, valid[1:]):
-        if y0 == 0:
-            roots.append(x0)
-            continue
         if y0 * y1 < 0:
             lo, hi, f_lo = x0, x1, y0
             for _ in range(200):
@@ -397,11 +371,9 @@ def _numeric_roots(residual: Expr, var: str) -> list[float]:
                     hi = mid
                 else:
                     lo, f_lo = mid, y_mid
-    if valid and valid[-1][1] == 0:
-        roots.append(valid[-1][0])
 
     # Newton from every grid point picks up even-multiplicity roots that
-    # never produce a sign change.
+    # never produce a sign change, and returns a grid point that is a root.
     for x, _ in valid:
         polished = polish(x)
         if polished is not None:
@@ -424,15 +396,13 @@ def _solve_univariate(equation: Equation, var: str) -> tuple[list[Value], str]:
     stray = (free_vars(lhs) | free_vars(rhs)) - {var}
     if stray:
         raise ValueError(f"equation is not univariate in '{var}': {sorted(stray)}")
-    residual = Sub(lhs, rhs)
+    residual = lhs - rhs
     try:
         terms = polynomial(residual, _MAX_POLY_DEGREE)
     except NonLinearError:
-        terms = None
+        return [_snap_exact(residual, var, r) for r in _numeric_roots(residual)], "numeric"
     except ExprError as err:
         raise NumericDivergenceError(str(err)) from err
-    if terms is None:
-        return [_snap_exact(residual, var, r) for r in _numeric_roots(residual, var)], "numeric"
     degree = max((monomial[0][1] if monomial else 0 for monomial in terms), default=-1)
     coeffs = [terms.get(((var, k),) if k else (), Fraction(0)) for k in range(degree + 1)]
     if len(coeffs) == 0:
@@ -455,13 +425,7 @@ def _solve_univariate(equation: Equation, var: str) -> tuple[list[Value], str]:
 
 def _snap_exact(residual: Expr, var: str, root: float) -> Value:
     """Promote a numeric root to an exact rational when it truly is one."""
-    guesses: list[Fraction] = []
-    if abs(root - round(root)) <= 1e-6 * max(1.0, abs(root)):
-        guesses.append(Fraction(round(root)))
-    nearby = Fraction(root).limit_denominator(1_000_000)
-    if nearby not in guesses:
-        guesses.append(nearby)
-    for guess in guesses:
+    for guess in (Fraction(round(root)), Fraction(root).limit_denominator(1_000_000)):
         if abs(float(guess) - root) > 1e-6 * max(1.0, abs(root)):
             continue
         try:

@@ -280,14 +280,41 @@ def deep(body):
 
 
 # Transcripts that once ended a run with RecursionError, each with its
-# verdict now: past the parser's nesting limit, or too long for the rule
-# check's tree walk.
+# verdict now for the gold answer 2: past the parser's nesting limit, or a
+# flat chain that every tree pass walks without recursion.
 DEPTH_PROBES = {
     "parens": (deep("(" * 1200 + "2" + ")" * 1200), PARSE_FAILURE),
     "power-tower": (deep(" ^ ".join(["2"] * 1201)), PARSE_FAILURE),
     "unary-minus": (deep("-" * 1200 + "2"), PARSE_FAILURE),
-    "flat-sum": (deep(" + ".join(["1"] * 3000)), SOLVER_FAILURE),
+    "flat-sum": (deep(" + ".join(["1"] * 3000)), WRONG_ANSWER),
+    "flat-product": (deep(" * ".join(["2"] + ["1"] * 2999)), CORRECT),
+    "flat-linear-system": (
+        "[[var x]] [[var y]] [[" + " + ".join(["x", "y"] * 1500) + " = 6000]] [[x - y = 0]]"
+        " [[answer = x]]",
+        CORRECT,
+    ),
 }
+
+
+@pytest.mark.parametrize(
+    "transcript, predicted",
+    [
+        (DEPTH_PROBES["flat-sum"][0], 3000),
+        (DEPTH_PROBES["flat-product"][0], 2),
+        (DEPTH_PROBES["flat-linear-system"][0], 2),
+        (deep(" + ".join(["1"] * 5001)), 5001),
+        (deep(" - ".join(["9000"] + ["1"] * 5000)), 4000),
+    ],
+    ids=["flat-sum", "flat-product", "flat-linear-system", "10001-node-sum", "10001-node-difference"],
+)
+def test_run_problem_solves_flat_chains(tmp_path, transcript, predicted):
+    problem = Problem("p1", "Q?", F(predicted))
+    mode = cassette_for(tmp_path, SPEC, [(problem.question, transcript)])
+    start = time.perf_counter()
+    record = run_problem(problem, SPEC, CONFIG, mode)
+    assert time.perf_counter() - start < 1
+    assert record.verdict == CORRECT, record.detail
+    assert record.predicted == predicted and isinstance(record.predicted, Fraction)
 
 
 @pytest.mark.parametrize("name", ["parens", "power-tower", "unary-minus"])
@@ -316,14 +343,26 @@ def test_run_problem_nesting_at_the_limit_is_solved(tmp_path, body):
     assert run_problem(problem, SPEC, CONFIG, mode).verdict == CORRECT
 
 
-def test_run_eval_turns_any_error_after_the_completion_into_a_verdict(tmp_path):
+def test_run_eval_turns_any_error_after_the_completion_into_a_verdict(tmp_path, monkeypatch):
     problems = [Problem(name, f"{name}?", F(2)) for name in DEPTH_PROBES]
     mode = cassette_for(tmp_path, SPEC, [(p.question, DEPTH_PROBES[p.id][0]) for p in problems])
     report = run_eval(problems, SPEC, mode, CONFIG)
     assert [r.verdict for r in report.records] == [v for _, v in DEPTH_PROBES.values()]
-    flat = report.records[-1]
-    assert flat.detail.startswith("RecursionError: maximum recursion depth exceeded")
-    assert flat.transcript == DEPTH_PROBES["flat-sum"][0]
+    flat = report.records[3]
+    assert flat.predicted == 3000 and flat.transcript == DEPTH_PROBES["flat-sum"][0]
+
+    def broken(system):
+        raise RuntimeError("solver fault")
+
+    # The last resort behind the typed handlers: an error of no expected type.
+    monkeypatch.setattr(ev, "solve_system", broken)
+    report = run_eval(problems, SPEC, mode, CONFIG)
+    solved = [r for r in report.records if r.verdict != PARSE_FAILURE]
+    assert [r.problem_id for r in solved] == ["flat-sum", "flat-product", "flat-linear-system"]
+    for record in solved:
+        assert record.verdict == SOLVER_FAILURE
+        assert record.detail == "RuntimeError: solver fault"
+        assert record.transcript == DEPTH_PROBES[record.problem_id][0]
 
 def test_run_problem_client_failure(tmp_path):
     problem = Problem("p1", "not in cassette", F(1))

@@ -23,6 +23,7 @@ from declsolve.exprs import (
     UnboundVariableError,
     Var,
     eval_exact,
+    exact_power,
     format_rational,
     free_vars,
     iter_numerals,
@@ -281,12 +282,27 @@ def test_free_vars_matches_unbound_failures(e):
 #   over); those powers now fold exactly up to MAX_EXPONENT;
 # - both computed a power however large its result; one over MAX_POWER_BITS
 #   now raises ExponentTooLargeError.
+# Each also folds a constant base with a constant fractional exponent through
+# `_fold_fractional`, where both gave up on it as non-polynomial: that power
+# now folds through `exact_power`, as in `eval_exact`, and stays
+# non-polynomial where `exact_power` refuses it.  And both ran a Pow's exponent
+# before its base, and could give up before running an operand at all; the
+# post-order walk runs every operand first, so each test expects the outcome
+# of the first subtree, in post-order, on which the reference fails
+# (`_first_failure`).
 
 _OLD_MAX_POLY_DEGREE = 32
 
 
 class _Deviation(Exception):
     pass
+
+
+def _fold_fractional(base, exponent):
+    try:
+        return exact_power(base, exponent)
+    except ExprError:
+        raise NonLinearError("unsupported exponent") from None
 
 
 def _oversize(base, power):
@@ -338,6 +354,9 @@ def _reference_linear_form(expr):
     if isinstance(expr, Pow):
         exponent = _reference_linear_form(expr.exponent)
         if exponent.coefficients or exponent.constant.denominator != 1:
+            base = _reference_linear_form(expr.base)
+            if not exponent.coefficients and not base.coefficients:
+                return LinearForm({}, _fold_fractional(base.constant, exponent.constant))
             raise NonLinearError("unsupported exponent")
         power = int(exponent.constant)
         base = _reference_linear_form(expr.base)
@@ -399,6 +418,12 @@ def _reference_poly_coefficients(expr, var):
             return None
         power_value = exponent[0] if exponent else Fraction(0)
         if power_value.denominator != 1:
+            base = _reference_poly_coefficients(expr.base, var)
+            if base is not None and len(base) <= 1:
+                try:
+                    return [_fold_fractional(base[0] if base else Fraction(0), power_value)]
+                except NonLinearError:
+                    return None
             return None
         power = int(power_value)
         base = _reference_poly_coefficients(expr.base, var)
@@ -450,6 +475,28 @@ def _outcome(function, *args):
         return type(err)
 
 
+def _subtrees(expr):
+    """Every subtree of `expr`, each after its operands, left first."""
+    if isinstance(expr, Neg):
+        yield from _subtrees(expr.child)
+    elif isinstance(expr, Pow):
+        yield from _subtrees(expr.base)
+        yield from _subtrees(expr.exponent)
+    elif not isinstance(expr, (Num, Var)):
+        yield from _subtrees(expr.left)
+        yield from _subtrees(expr.right)
+    yield expr
+
+
+def _first_failure(outcome, expr, failed=lambda result: isinstance(result, type)):
+    """`outcome(expr)`, or else `outcome` of the first subtree on which it fails."""
+    for subtree in _subtrees(expr):
+        result = outcome(subtree)
+        if failed(result):
+            return result
+    return result
+
+
 def _dense(expr, var):
     """What the univariate solver reads: None for a non-polynomial."""
     terms = polynomial(expr, _OLD_MAX_POLY_DEGREE)
@@ -459,6 +506,7 @@ def _dense(expr, var):
 
 _DIFF_EXPONENTS = [Num(n) for n in (-2, -1, 0, 1, 2, 3, 129, 200, 5000, 10_001)] + [
     Div(Num(1), Num(2)),
+    Num(Fraction(8333, 100_000)),
     Neg(Num(200)),
 ]
 
@@ -502,14 +550,16 @@ def _agrees_with_eval(expr, terms):
 @settings(max_examples=400, deadline=None)
 @given(_diff_expressions(["x", "y", "z"]))
 def test_linear_form_matches_old_linear_form(expr):
-    """The same LinearForm, or the same error type; a constant power over
-    MAX_POWER_BITS now raises ExponentTooLargeError instead of folding."""
+    """The same LinearForm, or the same error type at the first subtree in
+    post-order that fails; a constant power over MAX_POWER_BITS now raises
+    ExponentTooLargeError instead of folding."""
+    got = _outcome(linear_form, expr)
     try:
-        expected = _outcome(_reference_linear_form, expr)
+        expected = _first_failure(lambda e: _outcome(_reference_linear_form, e), expr)
     except _Deviation:
-        assert _outcome(linear_form, expr) is ExponentTooLargeError
+        assert got is ExponentTooLargeError
         return
-    assert _outcome(linear_form, expr) == expected
+    assert got == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -517,19 +567,17 @@ def test_linear_form_matches_old_linear_form(expr):
 def test_polynomial_matches_old_poly_coefficients(lhs, rhs):
     """The same dense coefficients of `lhs - rhs` (as the univariate solver
     expands it), NonLinearError where the old expansion returned None, or
-    the same error type.  The old expansion evaluated both operands before
-    giving up, so a constant division by zero to the right of a
-    non-polynomial part raised; the new one stops at the first fault, left
-    to right, as `linear_form` always did."""
+    the same error type, at the first subtree in post-order that fails."""
     residual = Sub(lhs, rhs)
     got = _outcome(_dense, residual, "x")
     try:
-        expected = _outcome(_reference_poly_coefficients, residual, "x")
+        expected = _first_failure(
+            lambda e: _outcome(_reference_poly_coefficients, e, "x"),
+            residual,
+            lambda result: result is None or isinstance(result, type),
+        )
     except _Deviation:
         if isinstance(got, list):
             _agrees_with_eval(residual, polynomial(residual, _OLD_MAX_POLY_DEGREE))
         return
-    if expected is None:
-        assert got is NonLinearError
-    elif not (expected is DivisionByZeroError and got is NonLinearError):
-        assert got == expected
+    assert got == (NonLinearError if expected is None else expected)

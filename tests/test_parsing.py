@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from declsolve.exprs import Add, Div, Mul, Neg, Num, Pow, Sub, Var, render
+from declsolve.client import Live
+from declsolve.evaluation import CORRECT, PARSE_FAILURE, Problem, RunConfig, run_problem
+from declsolve.exprs import MAX_POWER_BITS, Add, Div, Mul, Neg, Num, Pow, Sub, Var, render
 from declsolve.parsing import (
     DuplicateDeclarationError,
     EqDecl,
@@ -28,6 +31,20 @@ from declsolve.parsing import (
     render_script,
     script_from_transcript,
 )
+from declsolve.prompts import spec_for_variant
+
+
+def record_for(transcript, gold=Fraction(0)):
+    """The record of a one-problem run whose completion is `transcript`."""
+
+    def transport(url, payload, headers, timeout):
+        return 200, json.dumps({"choices": [{"text": transcript}]})
+
+    problem = Problem("p1", "Q?", gold)
+    return run_problem(
+        problem, spec_for_variant("declarative_principles"), RunConfig(model="m"),
+        Live("https://example.invalid"), transport=transport,
+    )
 
 
 # --- expression grammar ------------------------------------------------------
@@ -62,6 +79,49 @@ def test_parentheses_override():
 def test_decimals_parse_exactly():
     assert parse_expression("0.25") == Num(Fraction(1, 4))
     assert parse_expression("3.50") == Num(Fraction(7, 2))
+
+
+@pytest.mark.parametrize(
+    "numeral",
+    ["7" * 4300, "7" * 5000, "0." + "0" * 4300 + "1", "0." + "9" * 2200],
+    ids=["4300-digits", "5000-digits", "4300-zero-fraction", "2200-place-fraction"],
+)
+def test_numerals_over_the_size_budget_are_syntax_errors(numeral):
+    """A numeral is held to MAX_POWER_BITS before int() sees it, so none
+    reaches CPython's 4,300-digit limit on int-from-string."""
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expression(numeral, offset=5)
+    assert info.value.position == 5
+    assert str(info.value).startswith(
+        f"syntax error at position 5: expected a numeral of at most {MAX_POWER_BITS} bits"
+    )
+    record = record_for(f"[[var a]] [[a = {numeral}]] [[answer = a]]")
+    assert record.verdict == PARSE_FAILURE
+    assert "numeral of at most" in record.detail
+
+
+@pytest.mark.parametrize("places", [0, 1, 1000, 2107])
+def test_the_longest_numerals_fit_the_size_budget(places):
+    """The most digits a numeral may have, with `places` decimal places,
+    give a value within MAX_POWER_BITS; one more digit is refused."""
+    def numeral(whole):
+        return ("9" * whole or "0") + ("." + "9" * places if places else "")
+
+    whole = 4214 - 2 * places
+    value = parse_expression(numeral(whole)).value
+    assert value.numerator.bit_length() + value.denominator.bit_length() <= MAX_POWER_BITS
+    with pytest.raises(ExprSyntaxError):
+        parse_expression(numeral(whole + 1))
+
+
+def test_numerals_within_the_size_budget_parse_exactly():
+    assert parse_expression("0" * 5000 + "7") == Num(7)
+    assert parse_expression("1." + "0" * 4300) == Num(1)
+    assert parse_expression("0." + "0" * 2000 + "1") == Num(Fraction(1, 10**2001))
+    big = int("7" * 4200)
+    assert parse_expression("7" * 4200) == Num(big)
+    record = record_for(f"[[var a]] [[a = {'7' * 4200}]] [[answer = a]]", gold=Fraction(big))
+    assert record.verdict == CORRECT and record.predicted == big
 
 
 def test_no_implicit_multiplication():

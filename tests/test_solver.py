@@ -624,6 +624,24 @@ def test_solve_system_mixes_substitution_and_elimination():
     assert outcome.trace[1].startswith("linear-elimination: p = 120")
 
 
+def test_solve_system_folds_constant_fractional_powers():
+    """A constant power with an exact rational value folds in a linear
+    system, as eval_exact folds it; one without stays non-polynomial, so
+    its equation still reaches the numeric root finder."""
+    outcome = solve_script(
+        script_from_transcript("[[var x]] [[var y]] [[x + y = 16 ^ 0.5]] [[x - y = 0]] [[answer = x]]")
+    )
+    assert outcome.selected == F(2) and isinstance(outcome.selected, F)
+    assert outcome.trace == ("linear-elimination: x = 2, y = 2",)
+    outcome = solve_script(script_from_transcript("[[var x]] [[x * x = 2 ^ 0.5]] [[answer = x]]"))
+    assert sorted(outcome.candidates) == [pytest.approx(-(2**0.25)), pytest.approx(2**0.25)]
+    assert outcome.trace[0].startswith("numeric: x in {")
+    # 0.08333 is 8333/100000: a root degree over MAX_EXPONENT stays non-linear.
+    outcome = solve_script(script_from_transcript("[[var p]] [[p * 1.05 ^ 0.08333 = 1000]] [[answer = p]]"))
+    assert outcome.selected == pytest.approx(1000 / 1.05**0.08333)
+    assert outcome.trace[0].startswith("numeric: p in {")
+
+
 def test_solve_system_quadratic_branching_through_linear():
     outcome = solve_script(
         script_from_transcript(

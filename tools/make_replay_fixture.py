@@ -12,11 +12,14 @@ Planned verdict counts: 18 Correct, 2 WrongAnswer, 2 ParseFailure,
 
 Run from the repository root:
 
-    python3 tools/make_replay_fixture.py
+    python3 tools/make_replay_fixture.py [OUT_DIR]
+
+OUT_DIR defaults to tests/data/replay.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import shutil
@@ -262,8 +265,13 @@ PLANNED_HISTOGRAM = {
 }
 
 
-def main() -> int:
-    out_root = ROOT / "tests" / "data" / "replay"
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the replay fixture.")
+    parser.add_argument(
+        "out_dir", nargs="?", type=Path, default=ROOT / "tests" / "data" / "replay",
+        help="directory to write the fixture files to (default: tests/data/replay)",
+    )
+    out_root = parser.parse_args(argv).out_dir
     out_root.mkdir(parents=True, exist_ok=True)
 
     spec = spec_for_variant(VARIANT)
