@@ -23,7 +23,8 @@ print("value at x=1/3, y=5/2:", value)
 assert value == Fraction(2)
 
 # Substitution is structural — the result is a new tree, ready to render.
-partial = substitute(price, "y", Num(4))
+# It takes a mapping and replaces every name in it in one walk.
+partial = substitute(price, {"y": Num(4)})
 print("after y := 4:", render(partial))
 
 # Linear expressions decompose into coefficients + constant, the form the

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .client import ClientError, ClientMode, CompletionRequest, Transport, complete
-from .exprs import ExprError, Var, format_rational, free_vars
+from .exprs import MAX_POWER_BITS, ExprError, Var, format_rational, free_vars
 from .parsing import (
     EqDecl,
     GoalDecl,
@@ -36,6 +36,7 @@ from .parsing import (
     ScriptError,
     SolutionScript,
     VarDecl,
+    bounded_numeral,
     check_principles,
     extract_brackets,
     parse_declaration,
@@ -142,9 +143,16 @@ def _parse_gold(raw: str, problem_id: str) -> Fraction:
     cleaned = raw.strip().replace(",", "").rstrip(".")
     if cleaned.endswith("%"):
         cleaned = cleaned[:-1]
-    if not _GOLD_NUMERAL_RE.match(cleaned):
+    value = _signed_numeral(cleaned) if _GOLD_NUMERAL_RE.match(cleaned) else None
+    if value is None:
         raise UnparseableGoldError(problem_id, raw)
-    return Fraction(cleaned)
+    return value
+
+
+def _signed_numeral(text: str) -> Fraction | None:
+    """`bounded_numeral` of `text`, which may start with a minus sign."""
+    value = bounded_numeral(text.lstrip("-"))
+    return -value if value is not None and text.startswith("-") else value
 
 
 def load_gsm8k(path: str | Path) -> list[Problem]:
@@ -220,13 +228,20 @@ def score(predicted: Value, gold: Fraction) -> bool:
 
 
 def extract_final_number(transcript: str) -> Fraction | None:
-    """Last numeral on the last non-empty line, commas stripped."""
+    """Last numeral on the last non-empty line, commas stripped, or None.
+
+    Raises ValueError when that numeral is past the bound every script
+    numeral is held to (`parsing.bounded_numeral`).
+    """
     for line in reversed(transcript.splitlines()):
         if line.strip():
             numerals = _TRANSCRIPT_NUMERAL_RE.findall(line)
             if not numerals:
                 return None
-            return Fraction(numerals[-1].replace(",", ""))
+            value = _signed_numeral(numerals[-1].replace(",", ""))
+            if value is None:
+                raise ValueError(f"final number exceeds {MAX_POWER_BITS} bits")
+            return value
     return None
 
 
@@ -311,11 +326,15 @@ def _judge(problem: Problem, spec: PromptSpec, transcript: str) -> EvalRecord:
     warnings = len(check_principles(script, problem.question).warnings)
 
     if spec.variant == VARIANT_LLM_SOLVES:
-        predicted = extract_final_number(transcript)
+        try:
+            predicted = extract_final_number(transcript)
+            detail = "no final number in transcript"
+        except ValueError as err:
+            predicted, detail = None, str(err)
         if predicted is None:
             return EvalRecord(
                 problem.id, transcript, script, None, None,
-                SOLVER_FAILURE, False, warnings, "no final number in transcript",
+                SOLVER_FAILURE, False, warnings, detail,
             )
         correct = score(predicted, problem.gold_answer)
         return EvalRecord(

@@ -238,7 +238,8 @@ def eval_exact(expr: Expr, bindings: Mapping[str, RationalLike] | None = None) -
             return node.value
         if node.name not in bindings:
             raise UnboundVariableError(node.name)
-        return Fraction(bindings[node.name])
+        value = bindings[node.name]
+        return value if type(value) is Fraction else Fraction(value)
 
     return fold(postorder(expr), leaf, _EXACT_OPERATIONS)
 
@@ -307,11 +308,15 @@ def _integer_root(n: int, degree: int) -> int:
         x = y
 
 
-def substitute(expr: Expr, var: str, replacement: Expr) -> Expr:
-    """Replace every Var(var) node by a copy of `replacement`."""
+def substitute(expr: Expr, replacements: Mapping[str, Expr]) -> Expr:
+    """Replace every Var node named in `replacements` by its tree, in one walk.
+
+    Each name is replaced at once, so a replacement's own variables are
+    never replaced in turn.
+    """
 
     def leaf(node: Expr) -> Expr:
-        return replacement if type(node) is Var and node.name == var else node
+        return replacements.get(node.name, node) if type(node) is Var else node
 
     return fold(postorder(expr), leaf, _REBUILD)
 

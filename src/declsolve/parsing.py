@@ -154,17 +154,19 @@ def _numeral(digits: str) -> Fraction:
     return Fraction(int(whole))
 
 
-# The most significant digits a script numeral may have, its decimal places
-# counted twice (in the numerator and in the power of ten under it).  Any
-# numeral within it has a value within MAX_POWER_BITS.  It is checked before
-# int(), which refuses strings of over 4,300 digits.
+# The most significant digits a numeral may have, its decimal places counted
+# twice (in the numerator and in the power of ten under it).  Any numeral
+# within it has a value within MAX_POWER_BITS.  It is checked before int(),
+# which refuses strings of over 4,300 digits.
 _MAX_NUMERAL_DIGITS = int(MAX_POWER_BITS / math.log2(10))
 
 
-def _bounded_numeral(text: str, position: int) -> Fraction:
-    """`_numeral(text)`, or ExprSyntaxError past _MAX_NUMERAL_DIGITS.
+def bounded_numeral(text: str) -> Fraction | None:
+    """`_numeral(text)`, or None past _MAX_NUMERAL_DIGITS.
 
-    Leading zeros and trailing decimal zeros do not count.
+    Leading zeros and trailing decimal zeros do not count, so every numeral
+    of one value is held to the same bound.  The one rule for numerals in
+    scripts, questions, final answers and gold answers.
     """
     if len(text) <= _MAX_NUMERAL_DIGITS // 2:  # any numeral this short fits
         return _numeral(text)
@@ -172,9 +174,7 @@ def _bounded_numeral(text: str, position: int) -> Fraction:
     frac = frac.rstrip("0")
     digits = (whole + frac).lstrip("0")
     if len(digits) + len(frac) > _MAX_NUMERAL_DIGITS:
-        raise ExprSyntaxError(
-            position, {f"a numeral of at most {MAX_POWER_BITS} bits"}, f"one of {len(text)} characters"
-        )
+        return None
     return Fraction(int(digits or "0"), 10 ** len(frac))
 
 
@@ -227,7 +227,11 @@ class _Parser:
         kind, text, pos = self.tokens[self.index]
         self.index += 1
         if kind == "num":
-            return Num(_bounded_numeral(text, pos))
+            value = bounded_numeral(text)
+            if value is None:
+                expected = {f"a numeral of at most {MAX_POWER_BITS} bits"}
+                raise ExprSyntaxError(pos, expected, f"one of {len(text)} characters")
+            return Num(value)
         if kind == "ident":
             return Var(text)
         if text == "-":
@@ -449,15 +453,17 @@ def question_numbers(question: str) -> list[tuple[Fraction, frozenset[Fraction]]
     """Numerals in the question, each with its set of acceptable values.
 
     Commas are stripped; `N%` is accepted as either N or N/100.  Duplicates
-    keep the first occurrence only.
+    keep the first occurrence only.  A numeral past the script grammar's
+    bound (`bounded_numeral`) is skipped: no script numeral can equal it,
+    and it could not be printed in a warning.
     """
     out: list[tuple[Fraction, frozenset[Fraction]]] = []
     seen: set[Fraction] = set()
     for match in _QUESTION_NUMBER_RE.finditer(question):
         text = match.group()
         is_percent = text.endswith("%")
-        face = _numeral(text.rstrip("%").replace(",", ""))
-        if face in seen:
+        face = bounded_numeral(text.rstrip("%").replace(",", ""))
+        if face is None or face in seen:
             continue
         seen.add(face)
         aliases = frozenset({face, face / 100}) if is_percent else frozenset({face})

@@ -3,9 +3,9 @@
 Strategy pipeline, cheapest first:
 
 1. forward substitution to a fixpoint, which fully dispatches procedural
-   chains (`a = 2`, `b = a + 1`, ...).  It is event-driven: each binding is
-   substituted only into the equations that use it, and only those are
-   visited again, so a chain costs time linear in its length in any order;
+   chains (`a = 2`, `b = a + 1`, ...).  It is event-driven: a binding
+   revisits only the equations that use it, evaluated under the bindings,
+   so a chain costs time linear in its length in any order;
 2. exact fraction-free Gauss-Jordan elimination (Bareiss) over the integers
    when the residual is linear;
 3. isolating a univariate equation (exact for a polynomial, by real-root
@@ -156,59 +156,45 @@ def forward_substitute(
     After it, binding `v` while visiting equation `i` in round `r` schedules
     each pending equation `k` that uses `v` for round `r` if `k > i`, else
     for round `r + 1`, and visits run in (round, index) order.  So the
-    bindings, the residual and the first error are those of the full sweep,
-    and each binding is substituted once, into the equations that use it.
+    bindings, the residual and the first error are those of the full sweep.
+    A side whose variables are all bound is evaluated under the bindings;
+    only the residual is rewritten, one walk per side using a binding.
     """
     bindings: dict[str, Fraction] = {}
-    # index -> [lhs, rhs, unbound lhs names, unbound rhs names], in index order
-    pending: dict[int, list] = {}
+    # index -> (lhs, rhs, lhs names, rhs names), in index order
+    pending: dict[int, tuple[Expr, Expr, set[str], set[str]]] = {}
     users: dict[str, list[int]] = {}  # name -> pending equations using it
     revisits: list[tuple[int, int]] = []  # heap of (round, index)
     queued: set[int] = set()
 
     def visit(round_: int, index: int) -> None:
         lhs, rhs, free_lhs, free_rhs = pending[index]
-        if not free_lhs and not free_rhs:
-            left_value = eval_exact(lhs)
-            right_value = eval_exact(rhs)
+        lhs_ready = free_lhs <= bindings.keys()
+        rhs_ready = free_rhs <= bindings.keys()
+        if lhs_ready and rhs_ready:
+            left_value = eval_exact(lhs, bindings)
+            right_value = eval_exact(rhs, bindings)
             if left_value != right_value:
-                lhs, rhs = system.equations[index]
-                name = lhs.name if isinstance(lhs, Var) else (
-                    rhs.name if isinstance(rhs, Var) else None
-                )
+                name = next((side.name for side in (lhs, rhs) if isinstance(side, Var)), None)
                 raise InconsistentBindingError(name, left_value, right_value)
             del pending[index]
             return
-        if isinstance(lhs, Var) and not free_rhs:
-            name, value = lhs.name, eval_exact(rhs)
-        elif isinstance(rhs, Var) and not free_lhs:
-            name, value = rhs.name, eval_exact(lhs)
+        if isinstance(lhs, Var) and rhs_ready:
+            name, value = lhs.name, eval_exact(rhs, bindings)
+        elif isinstance(rhs, Var) and lhs_ready:
+            name, value = rhs.name, eval_exact(lhs, bindings)
         else:
             return
         del pending[index]
         bindings[name] = value
-        waiting = [user for user in users.pop(name, ()) if user in pending]
-        replacement = Num(value) if waiting else None
-        for user in waiting:
-            state = pending[user]
-            for side in (0, 1):
-                if name in state[side + 2]:
-                    state[side] = substitute(state[side], name, replacement)
-                    state[side + 2].discard(name)
-            if user not in queued:
+        for user in users.pop(name, ()):
+            if user in pending and user not in queued:
                 queued.add(user)
                 heapq.heappush(revisits, (round_ if user > index else round_ + 1, user))
 
     for index, (lhs, rhs) in enumerate(system.equations):
-        free_lhs = free_vars(lhs)
-        free_rhs = free_vars(rhs)
-        for name in free_lhs & bindings.keys():
-            lhs = substitute(lhs, name, Num(bindings[name]))
-        for name in free_rhs & bindings.keys():
-            rhs = substitute(rhs, name, Num(bindings[name]))
-        free_lhs -= bindings.keys()
-        free_rhs -= bindings.keys()
-        pending[index] = [lhs, rhs, free_lhs, free_rhs]
+        free_lhs, free_rhs = free_vars(lhs), free_vars(rhs)
+        pending[index] = (lhs, rhs, free_lhs, free_rhs)
         visit(0, index)
         if index in pending:
             for name in free_lhs | free_rhs:
@@ -218,8 +204,15 @@ def forward_substitute(
         queued.discard(index)
         visit(round_, index)
 
+    def rewrite(side: Expr, free: set[str]) -> Expr:
+        bound = free & bindings.keys()
+        return substitute(side, {name: Num(bindings[name]) for name in bound}) if bound else side
+
     residual = EquationSystem(
-        tuple((lhs, rhs) for lhs, rhs, _, _ in pending.values()),
+        tuple(
+            (rewrite(lhs, free_lhs), rewrite(rhs, free_rhs))
+            for lhs, rhs, free_lhs, free_rhs in pending.values()
+        ),
         frozenset(system.unknowns - bindings.keys()),
         system.goal,
     )
@@ -393,9 +386,6 @@ def _numeric_roots(residual: Expr) -> list[float]:
 def _solve_univariate(equation: Equation, var: str) -> tuple[list[Value], str]:
     """Roots of a single-unknown equation plus the method label used."""
     lhs, rhs = equation
-    stray = (free_vars(lhs) | free_vars(rhs)) - {var}
-    if stray:
-        raise ValueError(f"equation is not univariate in '{var}': {sorted(stray)}")
     residual = lhs - rhs
     try:
         terms = polynomial(residual, _MAX_POLY_DEGREE)
@@ -445,6 +435,9 @@ def solve_univariate(equation: Equation, var: str) -> list[Value]:
     correctly rounded).  Anything else falls back to the numeric hybrid
     with |f(root)| < 1e-9 convergence and roots deduped within 1e-7.
     """
+    stray = (free_vars(equation[0]) | free_vars(equation[1])) - {var}
+    if stray:
+        raise ValueError(f"equation is not univariate in '{var}': {sorted(stray)}")
     roots, _ = _solve_univariate(equation, var)
     return roots
 
@@ -597,9 +590,10 @@ def _branch_univariate(
             if var == residual.goal:
                 collected.append((root_value, root_approx))
                 continue
+            replacement = {var: Num(root_value)}
             reduced = EquationSystem(
                 tuple(
-                    (substitute(lhs, var, Num(root_value)), substitute(rhs, var, Num(root_value)))
+                    (substitute(lhs, replacement), substitute(rhs, replacement))
                     for lhs, rhs in rest
                 ),
                 frozenset(residual.unknowns - {var}),

@@ -1,0 +1,39 @@
+"""The traced benchmark run (`bench/run.py --trace 1`) wraps names in
+declsolve's modules by name, so renaming one of them must fail here too."""
+
+import importlib.util
+from pathlib import Path
+
+from declsolve import solver
+from declsolve.parsing import script_from_transcript
+from declsolve.solver import EquationSystem
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("declsolve_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_names_that_exist_and_puts_them_back():
+    system = EquationSystem.from_script(
+        script_from_transcript("[[var a]] [[a = 3]] [[var b]] [[b = a + 1]] [[answer = b]]")
+    )
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()  # a missing name raises KeyError here
+        patched = list(tracer._patches)
+        assert patched
+        for owner, attr, original in patched:
+            assert callable(original) or isinstance(original, classmethod), (owner, attr)
+            assert owner.__dict__[attr] is not original, (owner, attr)
+        solver.solve_system(system)
+        assert tracer.counts()["exprs.eval_exact_calls"] > 0
+        assert [span[0] for span in tracer.spans] == ["solver.substitute"]
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, (owner, attr)

@@ -1,9 +1,10 @@
 """The never-abort contract: any completion text becomes a record, quickly.
 
 `run_problem` turns per-problem failures into verdicts.  These tests send
-generated transcripts through it, as a live completion, and require an
-`EvalRecord` within 1 s for each, with no exception escaping and a typed
-verdict: none that the last-resort handler made from an unexpected error.
+generated transcripts through it, as a live completion, under every prompt
+variant, and require an `EvalRecord` within 1 s for each, with no exception
+escaping and a typed verdict: none that the last-resort handler made from an
+unexpected error.
 """
 
 import json
@@ -11,24 +12,28 @@ import re
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from declsolve.client import Live
 from declsolve.evaluation import VERDICTS, EvalRecord, Problem, RunConfig, run_problem
 from declsolve.parsing import MAX_NESTING
-from declsolve.prompts import spec_for_variant
+from declsolve.prompts import VARIANTS, spec_for_variant
 
-SPEC = spec_for_variant("declarative_principles")
+SPECS = {variant: spec_for_variant(variant) for variant in VARIANTS}
 CONFIG = RunConfig(model="contract-model")
-PROBLEM = Problem("p1", "Tom has 3 apples and buys 12 more at 0.5 dollars each. How many?", Fraction(15))
+QUESTION = "Tom has 3 apples and buys 12 more at 0.5 dollars each. How many?"
 
 
-def record_of(transcript):
+def record_of(transcript, variant, question=QUESTION):
     def transport(url, payload, headers, timeout):
         return 200, json.dumps({"choices": [{"text": transcript}]})
 
+    problem = Problem("p1", question, Fraction(15))
     start = time.perf_counter()
-    record = run_problem(PROBLEM, SPEC, CONFIG, Live("https://example.invalid"), transport=transport)
+    record = run_problem(
+        problem, SPECS[variant], CONFIG, Live("https://example.invalid"), transport=transport
+    )
     elapsed = time.perf_counter() - start
     assert isinstance(record, EvalRecord)
     assert record.verdict in VERDICTS
@@ -72,10 +77,11 @@ def grammar_transcripts(draw):
     return prose.join(statements) + f" The answer: [[answer = {goal}]]."
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(grammar_transcripts())
-def test_grammar_transcripts_become_records(transcript):
-    record_of(transcript)
+def test_grammar_transcripts_become_records(variant, transcript):
+    record_of(transcript, variant)
 
 
 # --- adversarial transcripts --------------------------------------------------------
@@ -119,7 +125,24 @@ adversarial_transcripts = st.one_of(
 )
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(adversarial_transcripts)
-def test_adversarial_transcripts_become_records(transcript):
-    record_of(transcript)
+def test_adversarial_transcripts_become_records(variant, transcript):
+    record_of(transcript, variant)
+
+
+# Past CPython's 4,300-digit limit on int() of a string, and past the bound
+# a script numeral is held to.
+HUGE = "7" * 5000
+SOUND = "[[var x]] [[x = 3]] [[answer = x]]"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize(
+    "question, transcript",
+    [(QUESTION, f"{SOUND}\nSo the answer is {HUGE}."), (f"Tom has {HUGE} apples.", SOUND)],
+    ids=["huge-final-number", "huge-question-number"],
+)
+def test_huge_numerals_become_records(variant, question, transcript):
+    record_of(transcript, variant, question)

@@ -120,6 +120,15 @@ def test_load_algebra_rejects_non_numeric_answers(tmp_path):
         load_algebra(path)
 
 
+def test_gold_answers_are_held_to_the_numeral_bound(tmp_path):
+    path = tmp_path / "algebra.jsonl"
+    path.write_text(json.dumps({"question": "Q", "answer": "-1,234.50"}), encoding="utf-8")
+    assert load_algebra(path)[0].gold_answer == F(-2469, 2)
+    path.write_text(json.dumps({"question": "Q", "answer": "7" * 5000}), encoding="utf-8")
+    with pytest.raises(UnparseableGoldError):
+        load_algebra(path)
+
+
 # --- scoring ---------------------------------------------------------------------
 
 def test_score_exact_values_need_exact_equality():
@@ -139,6 +148,11 @@ def test_extract_final_number():
     assert extract_final_number("answer: 1,080\n\n") == F(1080)
     assert extract_final_number("x = 2 so the result is 2.5") == F(5, 2)
     assert extract_final_number("no numbers here") is None
+    assert extract_final_number("so -0.5") == F(-1, 2)
+    # Leading zeros do not count toward the bound; significant digits do.
+    assert extract_final_number("0" * 5000 + "7") == F(7)
+    with pytest.raises(ValueError, match="final number exceeds"):
+        extract_final_number("so\n" + "7" * 5000)
 
 
 # --- per-problem verdicts -----------------------------------------------------------
@@ -412,6 +426,17 @@ def test_llm_solves_missing_number_is_solver_failure(tmp_path):
     mode = cassette_for(tmp_path, spec, [(problem.question, transcript)])
     record = run_problem(problem, spec, CONFIG, mode)
     assert record.verdict == SOLVER_FAILURE
+    assert record.detail == "no final number in transcript"
+
+
+def test_llm_solves_huge_final_number_is_solver_failure(tmp_path):
+    spec = PromptSpec(VARIANT_LLM_SOLVES, SPEC.exemplars, principles_header_text())
+    problem = Problem("p1", "Q?", F(14))
+    transcript = "So [[var n]], [[n = 14]], [[answer = n]].\n" + "7" * 5000
+    mode = cassette_for(tmp_path, spec, [(problem.question, transcript)])
+    record = run_problem(problem, spec, CONFIG, mode)
+    assert record.verdict == SOLVER_FAILURE
+    assert record.detail == "final number exceeds 14000 bits"
 
 
 def test_one_step_fallback_synthesizes_goal(tmp_path):

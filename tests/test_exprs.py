@@ -121,9 +121,15 @@ def test_division_by_zero_is_also_zero_division_error():
 
 def test_substitute_replaces_only_target():
     e = Add(Var("x"), Mul(Var("y"), Var("x")))
-    got = substitute(e, "x", Num(3))
+    got = substitute(e, {"x": Num(3)})
     assert got == Add(Num(3), Mul(Var("y"), Num(3)))
     assert free_vars(got) == {"y"}
+
+
+def test_substitute_replaces_every_name_at_once():
+    e = Sub(Var("x"), Var("y"))
+    assert substitute(e, {"x": Var("y"), "y": Var("x")}) == Sub(Var("y"), Var("x"))
+    assert substitute(e, {}) == e
 
 
 def test_free_vars_and_numerals():
@@ -236,9 +242,7 @@ def _try_eval(e, bindings):
 @given(exprs())
 def test_substitution_commutes_with_evaluation(e):
     direct = _try_eval(e, FULL_BINDINGS)
-    staged = e
-    for name, value in FULL_BINDINGS.items():
-        staged = substitute(staged, name, Num(value))
+    staged = substitute(e, {name: Num(value) for name, value in FULL_BINDINGS.items()})
     assert free_vars(staged) == set()
     assert _try_eval(staged, {}) == direct
 

@@ -248,6 +248,13 @@ def test_question_numbers_dedupe_and_percent():
     assert aliases == frozenset({Fraction(15), Fraction(3, 20)})
 
 
+def test_question_numbers_skip_a_numeral_past_the_script_bound():
+    question = f"Tom has {'7' * 5000} apples and 3 pears, {'0' * 5000}3 in all."
+    assert question_numbers(question) == [(Fraction(3), frozenset({Fraction(3)}))]
+    script = script_from_transcript("[[var x]] [[x = 4]] [[answer = x]]")
+    assert check_principles(script, question).unused_question_numbers == (Fraction(3),)
+
+
 def test_check_principles_warns_on_unused_numbers():
     script = script_from_transcript("[[var x]] [[x = 4]] [[answer = x]]")
     report = check_principles(script, "Tom has 4 apples and 3 pears. How many apples?")

@@ -90,9 +90,7 @@ def _reference_forward_substitute(system):
         return free_vars(expr) <= bindings.keys()
 
     def substitute_bindings(expr, bindings):
-        for name in free_vars(expr) & bindings.keys():
-            expr = substitute(expr, name, Num(bindings[name]))
-        return expr
+        return substitute(expr, {name: Num(value) for name, value in bindings.items()})
 
     bindings = {}
     pending = list(system.equations)
@@ -203,29 +201,72 @@ def test_forward_substitution_matches_round_based_reference(system):
     )
 
 
-def test_forward_substitution_is_linear_on_a_reversed_chain(monkeypatch):
-    """A chain given last link first binds one variable per round; each
-    binding must still be substituted once, into the one equation using it."""
-    n = 400
+def _chain(n):
+    """`v0 = 7`, then `v(i) = v(i-1) + (i % 5 + 1)`: n links, in order."""
     names = [f"v{i}" for i in range(n)]
     chain = [(Var(names[0]), Num(7))] + [
         (Var(names[i]), Add(Var(names[i - 1]), Num(i % 5 + 1))) for i in range(1, n)
     ]
-    system = EquationSystem(tuple(reversed(chain)), frozenset(names), names[-1])
+    return names, chain
 
+
+def _count_calls(monkeypatch, names):
     calls = Counter()
-    for name in ("free_vars", "substitute"):
+    for name in names:
         def counted(*args, _name=name, _original=getattr(solver, name)):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def test_forward_substitution_is_linear_on_a_reversed_chain(monkeypatch):
+    """A chain given last link first binds one variable per round; each
+    equation must still be walked a bounded number of times."""
+    n = 400
+    names, chain = _chain(n)
+    system = EquationSystem(tuple(reversed(chain)), frozenset(names), names[-1])
+
+    calls = _count_calls(monkeypatch, ("free_vars", "substitute", "eval_exact"))
     bindings, residual = forward_substitute(system)
 
     assert bindings[names[-1]] == 7 + sum(i % 5 + 1 for i in range(1, n))
     assert residual.equations == ()
     assert calls["free_vars"] <= 2 * n
-    assert calls["substitute"] <= n
+    assert calls["substitute"] == 0
+    assert calls["eval_exact"] <= n
+
+
+def test_forward_substitution_evaluates_an_in_order_chain_without_rewriting(monkeypatch):
+    """Each link is evaluated once under the bindings; with nothing left
+    over, no tree is rewritten."""
+    n = 400
+    names, chain = _chain(n)
+    system = EquationSystem(tuple(chain), frozenset(names), names[-1])
+
+    calls = _count_calls(monkeypatch, ("substitute", "eval_exact"))
+    bindings, residual = forward_substitute(system)
+
+    assert list(bindings) == names
+    assert residual.equations == ()
+    assert calls["substitute"] == 0
+    assert calls["eval_exact"] <= n
+
+
+def test_forward_substitution_rewrites_only_residual_sides_using_a_binding(monkeypatch):
+    system = system_of(
+        "[[var a]] [[a = 2]] [[var x]] [[var y]] [[x + y = a * 6]] [[x - y = a]] [[answer = x]]"
+    )
+    calls = _count_calls(monkeypatch, ("substitute",))
+    bindings, residual = forward_substitute(system)
+
+    assert bindings == {"a": F(2)}
+    assert residual.equations == (
+        (Add(Var("x"), Var("y")), Mul(Num(2), Num(6))),
+        (Sub(Var("x"), Var("y")), Num(2)),
+    )
+    assert calls["substitute"] == 2
 
 
 # --- linear elimination --------------------------------------------------------

@@ -323,11 +323,21 @@ def test_eval_exact_matches_the_ladder(expr, bindings):
     )
 
 
+# One to three names, none of which occurs in a replacement, so that
+# replacing them at once equals replacing them one by one.
+REPLACEMENT_MAPS = st.dictionaries(
+    st.sampled_from(["x", "y", "v"]), st.sampled_from(REPLACEMENTS), min_size=1, max_size=3
+).filter(lambda mapping: not any(free_vars(tree) & mapping.keys() for tree in mapping.values()))
+
+
 @settings(max_examples=300, deadline=None)
-@given(trees(["x", "y", "z"]), st.sampled_from(["x", "y", "v"]), st.sampled_from(REPLACEMENTS))
-def test_substitute_free_vars_numerals_and_render_match_the_ladders(expr, var, replacement):
-    substituted = substitute(expr, var, replacement)
-    assert substituted == old_substitute(expr, var, replacement)
+@given(trees(["x", "y", "z"]), REPLACEMENT_MAPS)
+def test_substitute_free_vars_numerals_and_render_match_the_ladders(expr, replacements):
+    substituted = substitute(expr, replacements)
+    by_name = expr
+    for var, replacement in replacements.items():
+        by_name = old_substitute(by_name, var, replacement)
+    assert substituted == by_name
     assert free_vars(expr) == old_free_vars(expr)
     assert free_vars(substituted) == old_free_vars(substituted)
     assert list(iter_numerals(expr)) == list(old_iter_numerals(expr))
@@ -418,7 +428,7 @@ def test_deep_chains_are_walked_without_recursion(kind):
     assert DEPTH * 2 > sys.getrecursionlimit()
     expected = {Add: 7 + DEPTH, Sub: 7 - DEPTH, Mul: 7 * 2**DEPTH}[kind]
     assert eval_exact(expr, {"x": 7}) == expected
-    substituted = substitute(expr, "x", Num(7))
+    substituted = substitute(expr, {"x": Num(7)})
     assert free_vars(substituted) == set() and eval_exact(substituted) == expected
     coefficient = 2**DEPTH if kind is Mul else 1
     constant = {Add: DEPTH, Sub: -DEPTH, Mul: 0}[kind]
