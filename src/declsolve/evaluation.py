@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .client import ClientError, ClientMode, CompletionRequest, Transport, complete
-from .exprs import MAX_POWER_BITS, ExprError, Var, format_rational, free_vars
+from .exprs import MAX_POWER_BITS, ExprError, Var, format_rational
 from .parsing import (
     EqDecl,
     GoalDecl,
@@ -260,7 +260,7 @@ def _one_step_script(transcript: str) -> SolutionScript:
         )
     equation = equations[0]
     goal = equation.lhs.name
-    names = [goal] + sorted(free_vars(equation.rhs) - {goal})
+    names = [goal] + sorted(set(equation.rhs_names) - {goal})
     synthesized: list[VarDecl | EqDecl | GoalDecl] = [VarDecl(n) for n in names]
     synthesized.append(equation)
     synthesized.append(GoalDecl(goal))

@@ -6,28 +6,26 @@ are immutable and are never simplified on construction: `x + 0` stays
 `x + 0` so that parsed text round-trips exactly.  Simplification belongs to
 the solver.
 
-Every pass over a tree (evaluation, substitution, expansion, rendering and
-the rest) is one walk: `postorder` lists the nodes, each after its operands,
-with an explicit stack, and `fold` reduces that list with one function per
-node kind.  So a tree of any depth is walked without recursion, and a caller
-that evaluates one tree many times walks it once.
+Every pass over a tree (evaluation, substitution, expansion, rendering,
+comparison, hashing and the rest) is one walk: `postorder` lists the nodes,
+each after its operands, with an explicit stack, and `fold` reduces that
+list with one function per node kind.  So a tree of any depth is walked
+without recursion, and a caller that evaluates one tree many times walks it
+once.  Nodes are slotted, so a tree holds no per-node `__dict__`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Mapping, Sequence, Union
 
 Rational = Fraction
 
 RationalLike = Union[Fraction, int]
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Bounds on every exact power, product and quotient.  Word-problem equations
 # use tiny values; anything near these limits is an adversarial transcript.
@@ -76,13 +74,45 @@ class NonLinearError(ExprError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+# Every node class: immutable, slotted, and with the `==`, `hash()` and
+# `repr()` of `Expr` below, which walk the tree once instead of recursing.
+_node = dataclass(frozen=True, slots=True, eq=False, repr=False)
+
+
+@_node
 class Expr:
     """Base node.  The eight subclasses below are the only node kinds.
 
     Operators are overloaded for convenient tree construction in tests and
-    demos; ints and Fractions coerce to `Num`.
+    demos; ints and Fractions coerce to `Num`.  `==`, `hash()` and `repr()`
+    follow dataclass semantics (equal when of the same type with equal
+    fields) but take a tree of any depth.
     """
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        mine, theirs = postorder(self), postorder(other)
+        if len(mine) != len(theirs):
+            return False
+        # A post-order list of nodes of fixed arity spells one tree, so equal
+        # kinds and equal leaves make equal trees.
+        for node, twin in zip(mine, theirs):
+            kind = type(node)
+            if kind is not type(twin):
+                return False
+            if kind is Num or kind is Var:
+                if _leaf_field(node) != _leaf_field(twin):
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        return fold(postorder(self), _hash_leaf, _HASH)
+
+    def __repr__(self) -> str:
+        return fold(postorder(self), _repr_leaf, _REPR)
 
     def __add__(self, other: Expr | RationalLike) -> Expr:
         return Add(self, as_expr(other))
@@ -115,7 +145,7 @@ class Expr:
         return Neg(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Num(Expr):
     value: Fraction
 
@@ -124,45 +154,46 @@ class Num(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
 
     def __post_init__(self):
-        if not IDENT_RE.match(self.name):
+        # Exactly the ASCII names [A-Za-z_][A-Za-z0-9_]*.
+        if not (self.name.isascii() and self.name.isidentifier()):
             raise ValueError(f"invalid variable name: {self.name!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     child: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: Expr
@@ -326,9 +357,22 @@ def free_vars(expr: Expr) -> set[str]:
     return {node.name for node in postorder(expr) if type(node) is Var}
 
 
-def iter_numerals(expr: Expr) -> Iterator[Fraction]:
-    """Yield the value of every Num leaf, in tree order."""
-    return (node.value for node in postorder(expr) if type(node) is Num)
+def leaves(expr: Expr) -> tuple[tuple[str, ...], tuple[Fraction, ...]]:
+    """The variable names of `expr`, each once in order of first occurrence,
+    and the value of every Num leaf in tree order, from one walk.
+
+    The parser records the same two tuples as it reads the text, which is
+    left to right, in the order post-order meets the leaves.
+    """
+    names: dict[str, None] = {}
+    numerals = []
+    for node in postorder(expr):
+        kind = type(node)
+        if kind is Var:
+            names[node.name] = None
+        elif kind is Num:
+            numerals.append(node.value)
+    return tuple(names), tuple(numerals)
 
 
 @dataclass(frozen=True)
@@ -510,6 +554,18 @@ def _render_leaf(node: Expr) -> str:
     return node.name if type(node) is Var else _format_literal(node.value)
 
 
+def _leaf_field(node: Expr) -> Fraction | str:
+    return node.name if type(node) is Var else node.value
+
+
+def _hash_leaf(node: Expr) -> int:
+    return hash((_leaf_field(node),))
+
+
+def _repr_leaf(node: Expr) -> str:
+    return f"Var(name={node.name!r})" if type(node) is Var else f"Num(value={node.value!r})"
+
+
 _BINARY_KINDS = frozenset({Add, Sub, Mul, Div})
 
 # Plain float arithmetic, for callers that evaluate a tree at many points.
@@ -538,4 +594,12 @@ _TERM_OPERATIONS = {
 _RENDER = {Neg: "(-{})".format} | {
     kind: f"({{}} {symbol} {{}})".format
     for kind, symbol in ((Add, "+"), (Sub, "-"), (Mul, "*"), (Div, "/"), (Pow, "^"))
+}
+
+# A dataclass hashes the tuple of its fields; so does a node, from the
+# hashes of its operands.
+_HASH = {kind: lambda *operands: hash(operands) for kind in FLOAT_OPERATIONS}
+
+_REPR = {Neg: "Neg(child={})".format, Pow: "Pow(base={}, exponent={})".format} | {
+    kind: f"{kind.__name__}(left={{}}, right={{}})".format for kind in _BINARY_KINDS
 }

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 import re
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exprs import MAX_POWER_BITS, Expr, Num, Var, Neg, Add, Sub, Mul, Div, Pow
-from .exprs import format_rational, free_vars, iter_numerals, render
+from .exprs import format_rational, leaves, render
 
 Span = tuple[int, int]
 
@@ -129,14 +130,13 @@ class ReservedIdentifierError(ScriptError):
 # Tokenizer and expression parser
 
 # A token is a (kind, text, position) tuple, kind one of num, ident, op and
-# end.  Whitespace matches no named group; `bad` catches any other character.
-_TOKEN_RE = re.compile(
-    r"\s+"
-    r"|(?P<num>\d+(?:\.\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()=])"
-    r"|(?P<bad>.)"
-)
+# end.  Each match is the whitespace before a token, then the token: a
+# numeral, a name, an operator or, as `\S`, any other character.  Its first
+# character tells which (a numeral's is a `\d`, which is what isdecimal
+# accepts).
+_TOKEN_RE = re.compile(r"(\s*)(\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()=]|\S)")
+_OPERATOR_CHARS = frozenset("-+*/^()=")
+_NAME_START = frozenset(string.ascii_letters + "_")
 _Token = tuple[str, str, int]
 
 _ATOM_EXPECTED = {"number", "name", "'-'", "'('"}
@@ -181,13 +181,19 @@ def bounded_numeral(text: str) -> Fraction | None:
 def _tokenize(src: str, offset: int = 0) -> list[_Token]:
     tokens = []
     append = tokens.append
-    for match in _TOKEN_RE.finditer(src):
-        kind = match.lastgroup
-        if kind is None:
-            continue
-        if kind == "bad":
-            raise ExprSyntaxError(offset + match.start(), {"a valid token"}, repr(match.group()))
-        append((kind, match.group(), offset + match.start()))
+    position = offset
+    for space, text in _TOKEN_RE.findall(src):
+        position += len(space)
+        first = text[0]
+        if first in _OPERATOR_CHARS:
+            append(("op", text, position))
+        elif first in _NAME_START:
+            append(("ident", text, position))
+        elif first.isdecimal():
+            append(("num", text, position))
+        else:
+            raise ExprSyntaxError(position, {"a valid token"}, repr(text))
+        position += len(text)
     append(("end", "", offset + len(src)))
     return tokens
 
@@ -201,11 +207,15 @@ class _Parser:
     """Precedence climbing over a token list that ends in an end token.
 
     Operators are told apart by text alone: no name or numeral spells one.
+    As it builds the leaves, left to right, it records each variable name
+    once in order of first occurrence, and every numeral's value.
     """
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.names: dict[str, None] = {}
+        self.numerals: list[Fraction] = []
 
     def parse(self, min_prec: int = 0, depth: int = 0) -> Expr:
         tokens = self.tokens
@@ -231,8 +241,10 @@ class _Parser:
             if value is None:
                 expected = {f"a numeral of at most {MAX_POWER_BITS} bits"}
                 raise ExprSyntaxError(pos, expected, f"one of {len(text)} characters")
+            self.numerals.append(value)
             return Num(value)
         if kind == "ident":
+            self.names[text] = None
             return Var(text)
         if text == "-":
             # Unary minus binds looser than '^': -x^2 is -(x^2).
@@ -247,38 +259,59 @@ class _Parser:
         raise ExprSyntaxError(pos, set(_ATOM_EXPECTED), text or "end of input")
 
 
-def _parse_run(tokens: list[_Token]) -> Expr:
-    """Parse a whole token run; raises ExprSyntaxError."""
+def _parse_run(tokens: list[_Token]) -> tuple[Expr, tuple[str, ...], tuple[Fraction, ...]]:
+    """Parse a whole token run into its tree, variable names and numerals
+    (as `exprs.leaves` gives them); raises ExprSyntaxError."""
     parser = _Parser(tokens)
     expr = parser.parse()
     kind, text, pos = tokens[parser.index]
     if kind != "end":
         raise ExprSyntaxError(pos, {"end of expression"}, text)
-    return expr
+    return expr, tuple(parser.names), tuple(parser.numerals)
 
 
 def parse_expression(src: str, offset: int = 0) -> Expr:
     """Parse one arithmetic expression; raises ExprSyntaxError."""
-    return _parse_run(_tokenize(src, offset))
+    return _parse_run(_tokenize(src, offset))[0]
 
 
 # --------------------------------------------------------------------------
 # Declarations
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarDecl:
     name: str
     span: Span | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EqDecl:
+    """`lhs = rhs`, with what every later stage needs to know of its leaves.
+
+    `lhs_names` and `rhs_names` are each side's variable names, each once in
+    order of first occurrence; `numerals` is the value of every numeral,
+    left side first, in tree order.  The parser records them as it builds
+    the sides; an EqDecl made without them computes them in one walk per
+    side (`exprs.leaves`).
+    """
+
     lhs: Expr
     rhs: Expr
     span: Span | None = field(default=None, compare=False)
+    lhs_names: tuple[str, ...] = field(default=None, compare=False, repr=False)
+    rhs_names: tuple[str, ...] = field(default=None, compare=False, repr=False)
+    numerals: tuple[Fraction, ...] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.lhs_names is None or self.rhs_names is None or self.numerals is None:
+            lhs_names, lhs_numerals = leaves(self.lhs)
+            rhs_names, rhs_numerals = leaves(self.rhs)
+            object.__setattr__(self, "lhs_names", lhs_names)
+            object.__setattr__(self, "rhs_names", rhs_names)
+            object.__setattr__(self, "numerals", lhs_numerals + rhs_numerals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoalDecl:
     name: str
     span: Span | None = field(default=None, compare=False)
@@ -329,13 +362,15 @@ def parse_declaration(raw: str, span: Span | None = None) -> Declaration:
 
     # The left side ends where its last token does, or where the body starts.
     lhs.append(("end", "", lhs[-1][2] + len(lhs[-1][1]) if lhs else offset))
-    return EqDecl(_parse_run(lhs), _parse_run(rhs), span)
+    left, lhs_names, lhs_numerals = _parse_run(lhs)
+    right, rhs_names, rhs_numerals = _parse_run(rhs)
+    return EqDecl(left, right, span, lhs_names, rhs_names, lhs_numerals + rhs_numerals)
 
 
 # --------------------------------------------------------------------------
 # Scripts
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolutionScript:
     """An ordered, validated declaration sequence with its goal variable."""
 
@@ -367,12 +402,12 @@ def validate_declarations(decls: list[Declaration] | tuple[Declaration, ...]) ->
                 raise DuplicateDeclarationError(decl.name, decl.span)
             declared.add(decl.name)
         elif isinstance(decl, EqDecl):
-            used = free_vars(decl.lhs) | free_vars(decl.rhs)
-            if RESERVED_GOAL_NAME in used:
+            # The goal name is never declared, so it is undeclared when used.
+            undeclared = {*decl.lhs_names, *decl.rhs_names} - declared
+            if RESERVED_GOAL_NAME in undeclared:
                 raise ReservedIdentifierError(decl.span)
-            for name in sorted(used):
-                if name not in declared:
-                    raise UndeclaredVariableError(name, decl.span)
+            if undeclared:
+                raise UndeclaredVariableError(min(undeclared), decl.span)
         elif isinstance(decl, GoalDecl):
             if decl.name not in declared:
                 raise UndeclaredVariableError(decl.name, decl.span)
@@ -420,14 +455,14 @@ def render_script(script: SolutionScript) -> str:
 # --------------------------------------------------------------------------
 # Principle checking
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrincipleViolation:
     principle: int
     message: str
     span: Span | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrincipleReport:
     violations: tuple[PrincipleViolation, ...] = ()
     unused_question_numbers: tuple[Fraction, ...] = ()
@@ -458,14 +493,19 @@ def question_numbers(question: str) -> list[tuple[Fraction, frozenset[Fraction]]
     and it could not be printed in a warning.
     """
     out: list[tuple[Fraction, frozenset[Fraction]]] = []
-    seen: set[Fraction] = set()
+    # Keyed by numerator and denominator: a Fraction's own hash is costly,
+    # and the alias set below hashes each value once already.
+    seen: set[tuple[int, int]] = set()
     for match in _QUESTION_NUMBER_RE.finditer(question):
         text = match.group()
         is_percent = text.endswith("%")
         face = bounded_numeral(text.rstrip("%").replace(",", ""))
-        if face is None or face in seen:
+        if face is None:
             continue
-        seen.add(face)
+        key = face.as_integer_ratio()
+        if key in seen:
+            continue
+        seen.add(key)
         aliases = frozenset({face, face / 100}) if is_percent else frozenset({face})
         out.append((face, aliases))
     return out
@@ -475,8 +515,7 @@ def check_principles(script: SolutionScript, question: str) -> PrincipleReport:
     """Report rule-5 findings: question numbers absent from every equation."""
     used: set[Fraction] = set()
     for eq in script.equations:
-        used.update(iter_numerals(eq.lhs))
-        used.update(iter_numerals(eq.rhs))
+        used.update(eq.numerals)
     violations = []
     unused = []
     for face, aliases in question_numbers(question):
@@ -491,7 +530,7 @@ def check_principles(script: SolutionScript, question: str) -> PrincipleReport:
     return PrincipleReport(tuple(violations), tuple(unused))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptCheck:
     """Outcome of running the parser and principle checker on a transcript."""
 

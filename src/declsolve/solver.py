@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exprs import (
@@ -41,10 +41,11 @@ from .exprs import (
     postorder,
     substitute,
 )
-from .parsing import EqDecl, SolutionScript, VarDecl
+from .parsing import SolutionScript, VarDecl
 from .roots import IsolationError, real_roots
 
 Equation = tuple[Expr, Expr]
+Names = tuple[frozenset[str], frozenset[str]]  # each side's variable names
 
 # A candidate is exact (Fraction) or approximate (float).
 Value = Fraction | float
@@ -104,16 +105,26 @@ class EquationSystem:
 
     Every equation's free variables must lie in `unknowns`.  The goal must
     be an unknown at solve entry; a residual system returned by
-    forward_substitute may already have bound it.
+    forward_substitute may already have bound it.  `names` holds each
+    equation's per-side variable names; a system made without them walks
+    every side once to find them.  The solver reads them, and passes them on
+    to the systems it derives, instead of walking the trees again.
     """
 
     equations: tuple[Equation, ...]
     unknowns: frozenset[str]
     goal: str
+    names: tuple[Names, ...] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        for lhs, rhs in self.equations:
-            stray = (free_vars(lhs) | free_vars(rhs)) - self.unknowns
+        if self.names is None:
+            names = tuple(
+                (frozenset(free_vars(lhs)), frozenset(free_vars(rhs)))
+                for lhs, rhs in self.equations
+            )
+            object.__setattr__(self, "names", names)
+        for lhs_names, rhs_names in self.names:
+            stray = (lhs_names | rhs_names) - self.unknowns
             if stray:
                 raise ValueError(f"equation uses undeclared unknowns: {sorted(stray)}")
 
@@ -122,12 +133,15 @@ class EquationSystem:
         unknowns = frozenset(
             d.name for d in script.declarations if isinstance(d, VarDecl)
         )
-        equations = tuple(
-            (d.lhs, d.rhs) for d in script.declarations if isinstance(d, EqDecl)
-        )
+        equations = script.equations
         if script.goal not in unknowns:
             raise ValueError(f"goal '{script.goal}' is not an unknown")
-        return cls(equations, unknowns, script.goal)
+        return cls(
+            tuple((d.lhs, d.rhs) for d in equations),
+            unknowns,
+            script.goal,
+            tuple((frozenset(d.lhs_names), frozenset(d.rhs_names)) for d in equations),
+        )
 
 
 @dataclass(frozen=True)
@@ -162,7 +176,7 @@ def forward_substitute(
     """
     bindings: dict[str, Fraction] = {}
     # index -> (lhs, rhs, lhs names, rhs names), in index order
-    pending: dict[int, tuple[Expr, Expr, set[str], set[str]]] = {}
+    pending: dict[int, tuple[Expr, Expr, frozenset[str], frozenset[str]]] = {}
     users: dict[str, list[int]] = {}  # name -> pending equations using it
     revisits: list[tuple[int, int]] = []  # heap of (round, index)
     queued: set[int] = set()
@@ -192,8 +206,7 @@ def forward_substitute(
                 queued.add(user)
                 heapq.heappush(revisits, (round_ if user > index else round_ + 1, user))
 
-    for index, (lhs, rhs) in enumerate(system.equations):
-        free_lhs, free_rhs = free_vars(lhs), free_vars(rhs)
+    for index, ((lhs, rhs), (free_lhs, free_rhs)) in enumerate(zip(system.equations, system.names)):
         pending[index] = (lhs, rhs, free_lhs, free_rhs)
         visit(0, index)
         if index in pending:
@@ -204,17 +217,19 @@ def forward_substitute(
         queued.discard(index)
         visit(round_, index)
 
-    def rewrite(side: Expr, free: set[str]) -> Expr:
+    def rewrite(side: Expr, free: frozenset[str]) -> tuple[Expr, frozenset[str]]:
         bound = free & bindings.keys()
-        return substitute(side, {name: Num(bindings[name]) for name in bound}) if bound else side
+        if not bound:
+            return side, free
+        return substitute(side, {name: Num(bindings[name]) for name in bound}), free - bound
 
+    equations, names = [], []
+    for lhs, rhs, free_lhs, free_rhs in pending.values():
+        (lhs, free_lhs), (rhs, free_rhs) = rewrite(lhs, free_lhs), rewrite(rhs, free_rhs)
+        equations.append((lhs, rhs))
+        names.append((free_lhs, free_rhs))
     residual = EquationSystem(
-        tuple(
-            (rewrite(lhs, free_lhs), rewrite(rhs, free_rhs))
-            for lhs, rhs, free_lhs, free_rhs in pending.values()
-        ),
-        frozenset(system.unknowns - bindings.keys()),
-        system.goal,
+        tuple(equations), frozenset(system.unknowns - bindings.keys()), system.goal, tuple(names)
     )
     return bindings, residual
 
@@ -567,8 +582,10 @@ def _branch_univariate(
 ) -> list[tuple[Fraction, bool]] | None:
     """Try each univariate residual equation; branch over the first that solves."""
     last_error: SolverError | None = None
-    for index, equation in enumerate(residual.equations):
-        names = free_vars(equation[0]) | free_vars(equation[1])
+    for index, (equation, (lhs_names, rhs_names)) in enumerate(
+        zip(residual.equations, residual.names)
+    ):
+        names = lhs_names | rhs_names
         if len(names) != 1:
             continue
         (var,) = names
@@ -580,6 +597,8 @@ def _branch_univariate(
         rendered = ", ".join(_format_value(r) for r in roots)
         trace.append(f"{method}: {var} in {{{rendered}}}")
         rest = residual.equations[:index] + residual.equations[index + 1 :]
+        rest_names = residual.names[:index] + residual.names[index + 1 :]
+        reduced_names = tuple((left - names, right - names) for left, right in rest_names)
         collected: list[tuple[Fraction, bool]] = []
         branch_error: SolverError | None = None
         for root in roots:
@@ -593,11 +612,15 @@ def _branch_univariate(
             replacement = {var: Num(root_value)}
             reduced = EquationSystem(
                 tuple(
-                    (substitute(lhs, replacement), substitute(rhs, replacement))
-                    for lhs, rhs in rest
+                    (
+                        substitute(lhs, replacement) if var in left else lhs,
+                        substitute(rhs, replacement) if var in right else rhs,
+                    )
+                    for (lhs, rhs), (left, right) in zip(rest, rest_names)
                 ),
-                frozenset(residual.unknowns - {var}),
+                residual.unknowns - names,
                 residual.goal,
+                reduced_names,
             )
             if len(roots) > 1:
                 trace.append(f"branch: {var} = {_format_value(root)}")

@@ -1,3 +1,5 @@
+import itertools
+import re
 import time
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from declsolve.exprs import (
     exact_power,
     format_rational,
     free_vars,
-    iter_numerals,
+    leaves,
     linear_form,
     polynomial,
     render,
@@ -44,6 +46,22 @@ def test_var_rejects_bad_identifiers():
     for bad in ("", "2x", "x y", "x-y", "answer!"):
         with pytest.raises(ValueError):
             Var(bad)
+
+
+def test_var_accepts_exactly_the_ascii_identifiers():
+    """Every string of up to three characters over ASCII letters, digits and
+    the underscore, and characters that Unicode counts as letters or digits
+    (accented, fullwidth, Arabic-Indic, superscript, the Kelvin sign)."""
+    pattern = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+    alphabet = "aZ_09 -\né５ｘ١²\u212a"
+    for length in range(4):
+        for chars in itertools.product(alphabet, repeat=length):
+            name = "".join(chars)
+            if pattern.match(name):
+                assert Var(name).name == name
+            else:
+                with pytest.raises(ValueError):
+                    Var(name)
 
 
 def test_operator_sugar_builds_trees():
@@ -135,7 +153,7 @@ def test_substitute_replaces_every_name_at_once():
 def test_free_vars_and_numerals():
     e = (Var("a") + Var("b")) * Var("a") - Num(4) / Num(2)
     assert free_vars(e) == {"a", "b"}
-    assert sorted(iter_numerals(e)) == [Fraction(2), Fraction(4)]
+    assert sorted(leaves(e)[1]) == [Fraction(2), Fraction(4)]
 
 
 def test_linear_form_collects_terms():

@@ -1,0 +1,244 @@
+"""What the parser records of each equation's leaves, and who reads it.
+
+The parser notes each side's variable names and every numeral as it builds
+the leaves; validation, the rule-5 check and the solver read those records
+instead of walking the trees again.  Nodes and declarations are slotted,
+and `==`, `hash()` and `repr()` on a node take a tree of any depth.
+"""
+
+from dataclasses import FrozenInstanceError, fields
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from declsolve import exprs, solver
+from declsolve.exprs import (
+    Add, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, free_vars, postorder,
+)
+from declsolve.parsing import (
+    EqDecl,
+    GoalDecl,
+    PrincipleReport,
+    PrincipleViolation,
+    TranscriptCheck,
+    VarDecl,
+    check_principles,
+    parse_declaration,
+    parse_expression,
+    script_from_transcript,
+)
+from declsolve.solver import EquationSystem, solve_script, solve_system
+
+NAMES = st.sampled_from(["x", "y", "total", "_t2", "b1"])
+NUMERALS = st.sampled_from(["0", "1", "12", "3.5", "0.25", "007", "1.000", "12"])
+SPACE = st.sampled_from(["", " ", "  "])
+
+EXPRESSIONS = st.recursive(
+    NAMES | NUMERALS,
+    lambda inner: (
+        st.tuples(inner, st.sampled_from("+-*/^"), inner, SPACE).map(
+            lambda p: f"{p[0]}{p[3]}{p[1]}{p[3]}{p[2]}"
+        )
+        | inner.map(lambda e: f"({e})")
+        | inner.map(lambda e: f"-{e}")
+    ),
+    max_leaves=12,
+)
+
+
+def _first_occurrence(expr):
+    return tuple(dict.fromkeys(node.name for node in postorder(expr) if type(node) is Var))
+
+
+def _numerals(expr):
+    return [node.value for node in postorder(expr) if type(node) is Num]
+
+
+# --------------------------------------------------------------------------
+# Recorded names and numerals
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSIONS, EXPRESSIONS)
+def test_parser_records_each_sides_names_and_numerals(left, right):
+    decl = parse_declaration(f"{left} = {right}", (10, 20))
+    assert isinstance(decl, EqDecl)
+    assert decl.lhs_names == _first_occurrence(decl.lhs)
+    assert decl.rhs_names == _first_occurrence(decl.rhs)
+    assert set(decl.lhs_names) == free_vars(decl.lhs)
+    assert set(decl.rhs_names) == free_vars(decl.rhs)
+    assert decl.numerals == (*_numerals(decl.lhs), *_numerals(decl.rhs))
+
+    by_hand = EqDecl(decl.lhs, decl.rhs, decl.span)
+    assert by_hand == decl
+    assert (by_hand.lhs_names, by_hand.rhs_names, by_hand.numerals) == (
+        decl.lhs_names, decl.rhs_names, decl.numerals,
+    )
+
+
+def test_records_do_not_take_part_in_equality_or_repr():
+    decl = parse_declaration("x = 2 * y + 2", (0, 17))
+    assert decl.numerals == (Fraction(2), Fraction(2))
+    assert decl == EqDecl(Var("x"), Add(Mul(Num(2), Var("y")), Num(2)))
+    assert repr(decl) == f"EqDecl(lhs={decl.lhs!r}, rhs={decl.rhs!r}, span=(0, 17))"
+
+
+# --------------------------------------------------------------------------
+# Carried name sets in residual and branch systems
+
+def _walked_names(system):
+    return tuple(
+        (frozenset(free_vars(lhs)), frozenset(free_vars(rhs))) for lhs, rhs in system.equations
+    )
+
+
+BRANCHING = [
+    # a root per branch, each substituted into the rest
+    "[[var x]] [[var y]] [[var z]] [[x^2 = 4]] [[y = x + 1]] [[z * y = x * 3 + y]] [[answer = z]]",
+    # a chain binds part of a nonlinear residual first
+    "[[var a]] [[var b]] [[var c]] [[a = 3]] [[b^2 + a*b = 10 + c]] [[c = a - 3]] [[answer = b]]",
+    # a cubic branches; each branch solves linearly
+    "[[var t]] [[var u]] [[var w]] [[t^3 - 6*t^2 + 11*t = 6]] [[u + w = t * 4]] [[u - w = t - 2]]"
+    " [[answer = u]]",
+    # a linear residual after substitution
+    "[[var p]] [[var q]] [[var r]] [[r = 2]] [[p + q = r * 5]] [[p - q = r]] [[answer = q]]",
+]
+
+
+@pytest.mark.parametrize("transcript", BRANCHING)
+def test_derived_systems_carry_the_names_of_their_sides(transcript, monkeypatch):
+    seen = []
+    original = solver.forward_substitute
+
+    def recording(system):
+        seen.append(system)
+        bindings, residual = original(system)
+        seen.append(residual)
+        return bindings, residual
+
+    monkeypatch.setattr(solver, "forward_substitute", recording)
+    script = script_from_transcript(transcript)
+    solve_script(script)
+
+    assert len(seen) >= 2
+    for system in seen:
+        assert system.names == _walked_names(system)
+
+
+def test_a_hand_built_system_still_rejects_a_stray_unknown():
+    with pytest.raises(ValueError, match="undeclared unknowns"):
+        EquationSystem(((Var("x"), Var("y")),), frozenset({"x"}), "x")
+    with pytest.raises(ValueError, match="undeclared unknowns"):
+        EquationSystem(
+            ((Var("x"), Num(1)),), frozenset({"x"}), "x", ((frozenset({"x"}), frozenset({"y"})),)
+        )
+
+
+# --------------------------------------------------------------------------
+# Tree walks
+
+def _count_walks(monkeypatch):
+    calls = [0]
+    original = exprs.postorder
+
+    def counted(expr):
+        calls[0] += 1
+        return original(expr)
+
+    for module in (exprs, solver):  # every namespace that calls it
+        monkeypatch.setattr(module, "postorder", counted)
+    return calls
+
+
+def test_a_parsed_reversed_chain_walks_each_equation_about_once(monkeypatch):
+    n = 400
+    names = [f"v{i}" for i in range(n)]
+    links = [f"[[{names[i]} = {names[i - 1]} + {i % 5 + 1}]]" for i in range(n - 1, 0, -1)]
+    declarations = [f"[[var {name}]]" for name in names] + links
+    transcript = " ".join(declarations + [f"[[{names[0]} = 7]]", f"[[answer = {names[-1]}]]"])
+    question = "Start at 7 and add 1, 2, 3, 4 and 5 in turn."
+    calls = _count_walks(monkeypatch)
+
+    script = script_from_transcript(transcript)
+    report = check_principles(script, question)
+    outcome = solve_system(EquationSystem.from_script(script))
+
+    assert outcome.selected == 7 + sum(i % 5 + 1 for i in range(1, n))
+    assert report.unused_question_numbers == ()
+    assert calls[0] <= n + 5
+
+
+# --------------------------------------------------------------------------
+# Slots
+
+def test_nodes_and_declarations_hold_no_instance_dict():
+    x = Var("x")
+    nodes = [Num(1), x, Neg(x), Add(x, x), Sub(x, x), Mul(x, x), Div(x, x), Pow(x, x)]
+    script = script_from_transcript("[[var x]] [[x = 1]] [[answer = x]]")
+    violation = PrincipleViolation(5, "unused")
+    others = [
+        VarDecl("x"), EqDecl(x, Num(1)), GoalDecl("x"), script, violation,
+        PrincipleReport((violation,)), TranscriptCheck(script, PrincipleReport()),
+    ]
+    for instance in nodes + others:
+        assert not hasattr(instance, "__dict__"), type(instance).__name__
+    with pytest.raises(FrozenInstanceError):
+        x.name = "y"
+
+
+# --------------------------------------------------------------------------
+# ==, hash() and repr() without recursion
+
+def _reference_repr(node):
+    parts = ", ".join(
+        f"{f.name}={_reference_repr(value) if isinstance(value, Expr) else repr(value)}"
+        for f in fields(node)
+        for value in [getattr(node, f.name)]
+    )
+    return f"{type(node).__name__}({parts})"
+
+
+def _reference_eq(a, b):
+    if type(a) is not type(b):
+        return False
+    return all(
+        _reference_eq(x, y) if isinstance(x, Expr) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPRESSIONS, EXPRESSIONS)
+def test_node_eq_hash_and_repr_follow_dataclass_semantics(left, right):
+    a, b = parse_expression(left), parse_expression(right)
+    assert repr(a) == _reference_repr(a)
+    assert (a == b) == _reference_eq(a, b)
+    assert (a != b) == (not _reference_eq(a, b))
+    assert a == parse_expression(left)
+    assert hash(a) == hash(parse_expression(left))
+
+
+def test_eq_needs_the_same_node_kinds():
+    x = Var("x")
+    assert Add(x, Num(1)) != Sub(x, Num(1))
+    assert Num(1) != Var("x")
+    assert Num(1) != 1
+    assert Neg(Num(1)) != Num(-1)
+    assert hash(Num(3)) == hash((Fraction(3),))
+    assert {Add(x, Num(1)), Add(Var("x"), Num(1))} == {Add(x, Num(1))}
+
+
+def test_eq_hash_and_repr_take_a_10001_node_chain():
+    src = " + ".join(["x"] + [str(i % 7) for i in range(5000)])
+    chain, twin = parse_expression(src), parse_expression(src)
+    assert len(postorder(chain)) == 10_001
+    changed = parse_expression(src[:-1] + "9")
+
+    assert chain == twin
+    assert chain != changed
+    assert hash(chain) == hash(twin)
+    assert len({chain, twin, changed}) == 2
+    text = repr(chain)
+    assert text.startswith("Add(left=Add(left=")
+    assert text.endswith(f"right=Num(value=Fraction({4999 % 7}, 1)))")
+    assert text.count("Num(value=") == 5000 and text.count("Var(name='x')") == 1

@@ -47,7 +47,7 @@ from declsolve.exprs import (
     eval_exact,
     exact_power,
     free_vars,
-    iter_numerals,
+    leaves,
     linear_form,
     polynomial,
     postorder,
@@ -340,7 +340,9 @@ def test_substitute_free_vars_numerals_and_render_match_the_ladders(expr, replac
     assert substituted == by_name
     assert free_vars(expr) == old_free_vars(expr)
     assert free_vars(substituted) == old_free_vars(substituted)
-    assert list(iter_numerals(expr)) == list(old_iter_numerals(expr))
+    names, numerals = leaves(expr)
+    assert set(names) == old_free_vars(expr)
+    assert list(numerals) == list(old_iter_numerals(expr))
     assert render(expr) == old_render(expr)
     assert render(substituted) == old_render(substituted)
 
@@ -434,7 +436,7 @@ def test_deep_chains_are_walked_without_recursion(kind):
     constant = {Add: DEPTH, Sub: -DEPTH, Mul: 0}[kind]
     assert polynomial(expr, 1) == {(("x", 1),): coefficient} | ({(): constant} if constant else {})
     assert linear_form(expr).constant == constant
-    assert list(iter_numerals(expr)) == [leaf.value] * DEPTH
+    assert list(leaves(expr)[1]) == [leaf.value] * DEPTH
     symbol = {Add: "+", Sub: "-", Mul: "*"}[kind]
     assert render(expr) == "(" * DEPTH + "x" + f" {symbol} {leaf.value})" * DEPTH
     assert _eval_float(postorder(expr), 0.0) == constant
