@@ -2,8 +2,8 @@
 
 Three stages, each tried in turn on whatever remains unsolved:
 forward substitution of `x = <evaluable>` bindings, exact Gaussian
-elimination over the rationals, and univariate isolation (polynomial
-roots, falling back to bisection + Newton for the rest).
+elimination over the rationals, and univariate isolation (exact roots for
+any rational equation, bisection on a float grid for the rest).
 
     python3 demos/03_solve_systems.py
 """
@@ -54,9 +54,14 @@ print("\nthree unknowns, goal z:", outcome.selected)
 for step in outcome.trace:
     print("  ", step)
 
-# --- non-polynomial equations fall through to the numeric stage -------------
+# --- rational equations are cleared of denominators and solved exactly -----
 
 n = Var("n")
 system = EquationSystem(((n + Num(2) / n, Num(3)),), frozenset({"n"}), "n")
 outcome = solve_system(system)
-print("\nn + 2/n = 3 ->", outcome.candidates)
+print("\nn + 2/n = 3 ->", outcome.candidates, outcome.trace)
+
+# --- a variable exponent is not rational: it goes to the float stage --------
+
+outcome = solve_script(script_from_transcript("[[var n]] [[1000 * 1.05 ^ n = 2000]] [[answer = n]]"))
+print("1000 * 1.05 ^ n = 2000 ->", outcome.candidates, outcome.trace)

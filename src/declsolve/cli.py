@@ -17,6 +17,7 @@ import argparse
 import json
 import statistics
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,11 +52,7 @@ def _load_config(path: str | None) -> dict:
 
 def _run_config(args: argparse.Namespace, config: dict) -> RunConfig:
     try:
-        params = DecodingParams(
-            temperature=config.get("temperature", 0.0),
-            max_tokens=config.get("max_tokens", 600),
-            n_samples=config.get("n_samples", 1),
-        )
+        params = DecodingParams(**{f.name: config[f.name] for f in fields(DecodingParams) if f.name in config})
     except ValueError as err:
         raise SystemExit(f"config: {err}")
     model = args.model or config.get("model", DEFAULT_MODEL)

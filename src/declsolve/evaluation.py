@@ -25,7 +25,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .client import ClientError, ClientMode, CompletionRequest, Transport, complete
 from .exprs import MAX_POWER_BITS, ExprError, Var, format_rational
@@ -162,19 +162,13 @@ def load_gsm8k(path: str | Path) -> list[Problem]:
     answer text, with thousands commas stripped.
     """
     problems: list[Problem] = []
-    with open(path, encoding="utf-8") as handle:
-        for index, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            problem_id = str(record.get("id", f"gsm8k-{index:04d}"))
-            answer_text = record["answer"]
-            marker = answer_text.rfind("####")
-            if marker < 0:
-                raise MissingMarkerError(problem_id)
-            gold = _parse_gold(answer_text[marker + 4 :], problem_id)
-            problems.append(Problem(problem_id, record["question"], gold))
+    for problem_id, record in _jsonl_records(path, "gsm8k"):
+        answer_text = record["answer"]
+        marker = answer_text.rfind("####")
+        if marker < 0:
+            raise MissingMarkerError(problem_id)
+        gold = _parse_gold(answer_text[marker + 4 :], problem_id)
+        problems.append(Problem(problem_id, record["question"], gold))
     _require_unique_ids(problems, path)
     return problems
 
@@ -195,17 +189,22 @@ def load_algebra(path: str | Path) -> list[Problem]:
                 gold = _parse_gold(row["answer"], problem_id)
                 problems.append(Problem(problem_id, row["question"], gold))
     else:
-        with open(path, encoding="utf-8") as handle:
-            for index, line in enumerate(handle):
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                problem_id = str(record.get("id", f"algebra-{index:04d}"))
-                gold = _parse_gold(str(record["answer"]), problem_id)
-                problems.append(Problem(problem_id, record["question"], gold))
+        for problem_id, record in _jsonl_records(path, "algebra"):
+            gold = _parse_gold(str(record["answer"]), problem_id)
+            problems.append(Problem(problem_id, record["question"], gold))
     _require_unique_ids(problems, path)
     return problems
+
+
+def _jsonl_records(path: str | Path, id_prefix: str) -> Iterator[tuple[str, dict]]:
+    """Each record of a JSONL file with its id: its own `id` field, else
+    `<id_prefix>-NNNN` for its line index, blank lines counted."""
+    with open(path, encoding="utf-8") as handle:
+        for index, line in enumerate(handle):
+            line = line.strip()
+            if line:
+                record = json.loads(line)
+                yield str(record.get("id", f"{id_prefix}-{index:04d}")), record
 
 
 def _require_unique_ids(problems: list[Problem], path: str | Path) -> None:

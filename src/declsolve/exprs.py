@@ -413,6 +413,49 @@ def polynomial(expr: Expr, max_degree: int) -> Terms:
     return fold(postorder(expr), _leaf_terms, operations)
 
 
+def rational(expr: Expr, max_degree: int) -> tuple[Terms, Terms]:
+    """Expand `expr` into polynomials (numerator, denominator), whose
+    quotient `expr` equals wherever none of its divisors is zero.
+
+    Division by, and integer powers of, a variable-bearing expression are
+    rational; otherwise `polynomial`'s errors hold, with `max_degree` on
+    either part.  A divisor that expands to zero raises DivisionByZeroError.
+    """
+    multiply = partial(_multiply, max_degree=max_degree)
+
+    def add(left, right, sign=1):
+        if left[1] == right[1]:
+            return _add(left[0], right[0], sign), left[1]
+        return _add(multiply(left[0], right[1]), multiply(right[0], left[1]), sign), multiply(left[1], right[1])
+
+    def divide(left, right):
+        if not right[0]:
+            raise DivisionByZeroError()
+        return multiply(left[0], right[1]), multiply(left[1], right[0])
+
+    def power(base, exponent):
+        (num, den), exponent_terms = base, _divide(*exponent)
+        value = _constant(exponent_terms)
+        # `polynomial`'s rules, unless the base has a variable denominator or
+        # a variable-bearing base has a negative power.
+        if _constant(den) is not None and (value is None or value >= 0 or _constant(num) is not None):
+            return _power(_divide(num, den), exponent_terms, max_degree), {(): Fraction(1)}
+        if value is None or value.denominator != 1:
+            raise NonLinearError("unsupported exponent")
+        if value < 0:
+            if not num:
+                raise DivisionByZeroError("zero raised to a negative power")
+            num, den, value = den, num, -value
+        return _power(num, {(): value}, max_degree), _power(den, {(): value}, max_degree)
+
+    operations = {
+        Neg: lambda operand: (_scale(operand[0], Fraction(-1)), operand[1]),
+        Mul: lambda left, right: (multiply(left[0], right[0]), multiply(left[1], right[1])),
+        Add: add, Sub: partial(add, sign=-1), Div: divide, Pow: power,
+    }
+    return fold(postorder(expr), lambda node: (_leaf_terms(node), {(): Fraction(1)}), operations)
+
+
 def _leaf_terms(node: Expr) -> Terms:
     if type(node) is Var:
         return {((node.name, 1),): Fraction(1)}

@@ -5,7 +5,8 @@ order: each rational root as an exact `Fraction`, each irrational one as
 the correctly rounded float.
 
 The polynomial is first made square-free by dividing out its gcd with the
-derivative.  Descartes-rule bisection (Collins & Akritas 1976) then splits
+derivative, and then, when poles are given, by its gcd with them.
+Descartes-rule bisection (Collins & Akritas 1976) then splits
 (0, B) and (-B, 0), with B a Fujiwara root bound, into intervals that hold
 one root each: an interval whose Moebius-transformed polynomial has one
 sign variation holds exactly one root, one with none holds no root.  Each
@@ -45,8 +46,9 @@ class IsolationError(ArithmeticError):
     """The roots could not be isolated or do not fit in a float."""
 
 
-def real_roots(coefficients: list[int]) -> list[Fraction | float]:
-    """The distinct real roots of sum(c_i * x**i), in ascending order.
+def real_roots(coefficients: list[int], poles: list[int] = ()) -> list[Fraction | float]:
+    """The distinct real roots of sum(c_i * x**i), in ascending order,
+    leaving out every root of sum(poles_i * x**i).
 
     Raises ValueError for a constant polynomial, and IsolationError when a
     coefficient exceeds MAX_POWER_BITS, when an irrational root lies
@@ -56,9 +58,12 @@ def real_roots(coefficients: list[int]) -> list[Fraction | float]:
     p = _trim(list(coefficients))
     if len(p) < 2:
         raise ValueError("a constant polynomial has no roots to isolate")
-    if max(abs(c) for c in p).bit_length() > MAX_POWER_BITS:
+    if max(abs(c) for c in [*p, *poles]).bit_length() > MAX_POWER_BITS:
         raise IsolationError(f"coefficients exceed {MAX_POWER_BITS} bits")
-    p = _square_free(p)
+    # Square-free, then free of the poles, each of which it now holds once.
+    for q in ([i * c for i, c in enumerate(p)][1:], poles):
+        shared = gcd(p, q) if len(q) > 1 else [1]
+        p = p if len(shared) == 1 else _divide(p, shared)
     roots: list[Fraction | float] = []
     if p[0] == 0:  # a simple root at zero
         roots.append(Fraction(0))
@@ -82,22 +87,17 @@ def _trim(p: Poly) -> Poly:
     return p
 
 
-def _square_free(p: Poly) -> Poly:
-    """p divided by gcd(p, p').
-
-    The gcd is 1 when it is constant modulo a prime that does not divide
-    the leading coefficient, since the gcd over the integers reduces to a
-    divisor of the one modulo that prime, of the same degree.  Only when
-    that test fails for every prime is the gcd computed exactly.
-    """
-    derivative = [i * c for i, c in enumerate(p)][1:]
+def gcd(a: Poly, b: Poly) -> Poly:
+    """The primitive gcd of a and b, up to sign: 1 when it is constant
+    modulo a prime that does not divide a's leading coefficient (it reduces
+    to a divisor of the gcd modulo that prime, of the same degree), else
+    from the primitive remainder sequence."""
     for prime in _PRIMES:
-        if p[-1] % prime and _coprime_modulo(p, derivative, prime):
-            return p
-    a, b = p, derivative
+        if a[-1] % prime and _coprime_modulo(a, b, prime):
+            return [1]
     while b:
         a, b = b, _primitive(_pseudo_remainder(a, b))
-    return p if len(a) == 1 else _divide(p, _primitive(a))
+    return _primitive(a)
 
 
 def _coprime_modulo(a: Poly, b: Poly, prime: int) -> bool:

@@ -8,9 +8,9 @@ Strategy pipeline, cheapest first:
    so a chain costs time linear in its length in any order;
 2. exact fraction-free Gauss-Jordan elimination (Bareiss) over the integers
    when the residual is linear;
-3. isolating a univariate equation (exact for a polynomial, by real-root
-   isolation beyond degree 2; a bisection / Newton hybrid on a float grid
-   for anything else) and branching over its roots.
+3. isolating a univariate equation and branching over its roots: exact
+   real-root isolation for a rational equation, cleared of denominators
+   and poles, and bisection on a float grid for anything else.
 
 All arithmetic on the exact path is over `fractions.Fraction`; floats only
 appear for irrational or numerically-found roots, and any value derived
@@ -30,15 +30,15 @@ from .exprs import (
     ExprError,
     NonLinearError,
     Num,
+    Terms,
     Var,
     eval_exact,
-    exact_root,
     fold,
     format_rational,
     free_vars,
     linear_form,
-    polynomial,
     postorder,
+    rational,
     substitute,
 )
 from .parsing import SolutionScript, VarDecl
@@ -299,23 +299,6 @@ def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
 # --------------------------------------------------------------------------
 # Univariate equations
 
-def _quadratic_roots(c0: Fraction, c1: Fraction, c2: Fraction) -> list[Value]:
-    """Roots of c2*x^2 + c1*x + c0, exact when the discriminant allows."""
-    discriminant = c1 * c1 - 4 * c2 * c0
-    if discriminant < 0:
-        raise NoRealRootError("negative discriminant")
-    root = exact_root(discriminant, 2)
-    if root is not None:
-        if root == 0:
-            return [-c1 / (2 * c2)]
-        return sorted([(-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2)])
-    # Irrational roots: numerically stable float form.
-    fa, fb = float(c2), float(c1)
-    sqrt_d = math.sqrt(float(discriminant))
-    q = -(fb + sqrt_d) / 2 if fb >= 0 else -(fb - sqrt_d) / 2
-    return sorted([q / fa, float(c0) / q])
-
-
 def _eval_float(nodes: list[Expr], x: float) -> float:
     """The float value of a univariate `postorder` node list at `x`."""
     return fold(nodes, lambda node: x if type(node) is Var else float(node.value), FLOAT_OPERATIONS)
@@ -329,7 +312,8 @@ _GRID = sorted(
 
 
 def _numeric_roots(residual: Expr) -> list[float]:
-    """Bisection over sign changes on a log-spaced grid, Newton-polished."""
+    """Grid points where the residual vanishes, and bisection over the sign
+    changes of a log-spaced grid."""
     nodes = postorder(residual)
 
     def f(x: float) -> float | None:
@@ -341,29 +325,7 @@ def _numeric_roots(residual: Expr) -> list[float]:
 
     samples = [(x, f(x)) for x in _GRID]
     valid = [(x, y) for x, y in samples if y is not None]
-    roots: list[float] = []
-
-    def polish(x: float) -> float | None:
-        for _ in range(60):
-            y = f(x)
-            if y is None:
-                return None
-            if abs(y) < NUMERIC_TOLERANCE:
-                return x
-            h = max(abs(x), 1.0) * 1e-7
-            y_hi, y_lo = f(x + h), f(x - h)
-            if y_hi is None or y_lo is None:
-                return None
-            slope = (y_hi - y_lo) / (2 * h)
-            if slope == 0 or math.isnan(slope):
-                return None
-            step = y / slope
-            if abs(step) > 1e9:
-                return None
-            x -= step
-        y = f(x)
-        return x if y is not None and abs(y) < NUMERIC_TOLERANCE else None
-
+    roots = [x for x, y in valid if abs(y) < NUMERIC_TOLERANCE]
     for (x0, y0), (x1, y1) in zip(valid, valid[1:]):
         if y0 * y1 < 0:
             lo, hi, f_lo = x0, x1, y0
@@ -380,13 +342,6 @@ def _numeric_roots(residual: Expr) -> list[float]:
                 else:
                     lo, f_lo = mid, y_mid
 
-    # Newton from every grid point picks up even-multiplicity roots that
-    # never produce a sign change, and returns a grid point that is a root.
-    for x, _ in valid:
-        polished = polish(x)
-        if polished is not None:
-            roots.append(polished)
-
     deduped: list[float] = []
     for root in sorted(roots):
         if not deduped or abs(root - deduped[-1]) > ROOT_DEDUPE_TOLERANCE:
@@ -394,8 +349,16 @@ def _numeric_roots(residual: Expr) -> list[float]:
     if deduped:
         return deduped
     if len(valid) == len(samples):
-        raise NoRealRootError("no sign change and no Newton convergence")
+        raise NoRealRootError("no sign change on the grid")
     raise NumericDivergenceError()
+
+
+def _coefficients(terms: Terms, var: str) -> list[int]:
+    """Integer coefficients, lowest first, of a multiple of `terms` in `var`."""
+    degree = max((monomial[0][1] if monomial else 0 for monomial in terms), default=-1)
+    coeffs = [terms.get(((var, k),) if k else (), Fraction(0)) for k in range(degree + 1)]
+    common = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (common // c.denominator) for c in coeffs]
 
 
 def _solve_univariate(equation: Equation, var: str) -> tuple[list[Value], str]:
@@ -403,29 +366,24 @@ def _solve_univariate(equation: Equation, var: str) -> tuple[list[Value], str]:
     lhs, rhs = equation
     residual = lhs - rhs
     try:
-        terms = polynomial(residual, _MAX_POLY_DEGREE)
+        numerator, denominator = rational(residual, _MAX_POLY_DEGREE)
     except NonLinearError:
         return [_snap_exact(residual, var, r) for r in _numeric_roots(residual)], "numeric"
     except ExprError as err:
         raise NumericDivergenceError(str(err)) from err
-    degree = max((monomial[0][1] if monomial else 0 for monomial in terms), default=-1)
-    coeffs = [terms.get(((var, k),) if k else (), Fraction(0)) for k in range(degree + 1)]
+    coeffs = _coefficients(numerator, var)
     if len(coeffs) == 0:
         raise UnderdeterminedError("equation holds for every value")
     if len(coeffs) == 1:
         raise NoRealRootError("equation reduces to a false constant identity")
-    if len(coeffs) == 2:
-        return [-coeffs[0] / coeffs[1]], "linear-elimination"
-    if len(coeffs) == 3:
-        return _quadratic_roots(coeffs[0], coeffs[1], coeffs[2]), "quadratic"
-    common = math.lcm(*(c.denominator for c in coeffs))
     try:
-        roots = real_roots([c.numerator * (common // c.denominator) for c in coeffs])
+        # A root the numerator shares with the denominator is a pole.
+        roots = real_roots(coeffs, _coefficients(denominator, var))
     except IsolationError as err:
         raise NumericDivergenceError(str(err)) from err
     if not roots:
         raise NoRealRootError()
-    return roots, "polynomial"
+    return roots, {2: "linear-elimination", 3: "quadratic"}.get(len(coeffs), "polynomial")
 
 
 def _snap_exact(residual: Expr, var: str, root: float) -> Value:
@@ -444,11 +402,11 @@ def _snap_exact(residual: Expr, var: str, root: float) -> Value:
 def solve_univariate(equation: Equation, var: str) -> list[Value]:
     """Real roots, exact (Fraction) where possible, else approximate (float).
 
-    Degree 1 solves exactly; degree 2 by the quadratic formula (exact when
-    the discriminant is a rational square); degree 3 to 32 by real-root
-    isolation, which finds every real root (rational ones exactly, others
-    correctly rounded).  Anything else falls back to the numeric hybrid
-    with |f(root)| < 1e-9 convergence and roots deduped within 1e-7.
+    A rational equation of degree 1 to 32, cleared of denominators, goes to
+    real-root isolation, which finds every real root but the poles (rational
+    ones exactly, others correctly rounded).  Anything else falls back to
+    bisection over the sign changes of a float grid, with |f(root)| < 1e-9
+    convergence and roots deduped within 1e-7.
     """
     stray = (free_vars(equation[0]) | free_vars(equation[1])) - {var}
     if stray:
@@ -600,15 +558,12 @@ def _branch_univariate(
         rest_names = residual.names[:index] + residual.names[index + 1 :]
         reduced_names = tuple((left - names, right - names) for left, right in rest_names)
         collected: list[tuple[Fraction, bool]] = []
-        branch_error: SolverError | None = None
+        branch_error: Exception | None = None
         for root in roots:
             budget.spend()
             root_is_float = isinstance(root, float)
             root_value = Fraction(root) if root_is_float else root
             root_approx = approx or root_is_float
-            if var == residual.goal:
-                collected.append((root_value, root_approx))
-                continue
             replacement = {var: Num(root_value)}
             reduced = EquationSystem(
                 tuple(
@@ -622,11 +577,16 @@ def _branch_univariate(
                 residual.goal,
                 reduced_names,
             )
-            if len(roots) > 1:
-                trace.append(f"branch: {var} = {_format_value(root)}")
             try:
-                collected.extend(_solve(reduced, trace, budget, root_approx))
-            except SolverError as err:
+                if var != residual.goal:
+                    if len(roots) > 1:
+                        trace.append(f"branch: {var} = {_format_value(root)}")
+                    collected.extend(_solve(reduced, trace, budget, root_approx))
+                    continue
+                if not root_approx:  # a rounded root would fail an exact check
+                    forward_substitute(reduced)  # raises if the root breaks an equation
+                collected.append((root_value, root_approx))
+            except (SolverError, ExprError) as err:
                 branch_error = err
         if collected:
             return collected

@@ -31,6 +31,7 @@ from declsolve.exprs import (
     leaves,
     linear_form,
     polynomial,
+    rational,
     render,
     substitute,
 )
@@ -206,6 +207,31 @@ def test_polynomial_expands_to_sparse_monomials():
         polynomial(big * x * big, 1)
     with pytest.raises(ExponentTooLargeError):
         polynomial((x + big) * (x + big), 2)
+
+
+def test_rational_clears_variable_denominators():
+    x = Var("x")
+    one = {(): Fraction(1)}
+    assert rational(6 / x, 1) == ({(): Fraction(6)}, {(("x", 1),): Fraction(1)})
+    assert rational(1 / x + 1 / (x + 2), 2) == (
+        {(("x", 1),): Fraction(2), (): Fraction(2)},
+        {(("x", 2),): Fraction(1), (("x", 1),): Fraction(2)},
+    )
+    assert rational(Pow(x, Num(-2)), 2) == (one, {(("x", 2),): Fraction(1)})
+    assert rational(Pow(1 / x, Num(-1)), 1) == ({(("x", 1),): Fraction(1)}, one)
+    assert rational(x / x - 1, 1) == ({}, {(("x", 1),): Fraction(1)})
+    # A constant power folds as in `polynomial`; a constant divisor stays below.
+    assert rational(Pow(Num(4), Num(Fraction(1, 2))) / 8 * x, 1) == ({(("x", 1),): Fraction(2)}, {(): Fraction(8)})
+    with pytest.raises(DivisionByZeroError):
+        rational(1 / (x - x), 1)
+    with pytest.raises(DivisionByZeroError):
+        rational(Pow(0 / x, Num(-1)), 1)
+    with pytest.raises(NonLinearError):
+        rational(Pow(Num(2), x), 2)
+    with pytest.raises(NonLinearError):
+        rational(Pow(1 / x, Num(Fraction(1, 2))), 2)
+    with pytest.raises(NonLinearError):
+        rational(1 / (x * x * x), 2)
 
 
 def test_format_rational():
@@ -603,3 +629,44 @@ def test_polynomial_matches_old_poly_coefficients(lhs, rhs):
             _agrees_with_eval(residual, polynomial(residual, _OLD_MAX_POLY_DEGREE))
         return
     assert got == (NonLinearError if expected is None else expected)
+
+
+def _terms_value(terms, point):
+    total = Fraction(0)
+    for monomial, coeff in terms.items():
+        for name, power in monomial:
+            coeff *= point[name] ** power
+        total += coeff
+    return total
+
+
+@settings(max_examples=400, deadline=None)
+@given(_diff_expressions(["x", "y", "z"]))
+def test_rational_agrees_with_polynomial_and_eval(expr):
+    """Where `polynomial` expands `expr`, `rational` gives the same terms
+    over a constant; wherever `expr` evaluates exactly, numerator /
+    denominator takes its value; and a divisor that expands to zero leaves
+    `expr` nowhere exactly evaluable."""
+    points = (FULL_BINDINGS, {"x": Fraction(-2), "y": Fraction(1, 3), "z": Fraction(0)})
+    try:
+        numerator, denominator = rational(expr, _OLD_MAX_POLY_DEGREE)
+    except DivisionByZeroError:
+        for point in points:
+            with pytest.raises(ExprError):
+                eval_exact(expr, point)
+        return
+    except ExprError:
+        return
+    try:
+        terms = polynomial(expr, _OLD_MAX_POLY_DEGREE)
+    except ExprError:
+        pass
+    else:
+        assert len(denominator) == 1 and () in denominator
+        assert {m: c / denominator[()] for m, c in numerator.items()} == terms
+    for point in points:
+        try:
+            direct = eval_exact(expr, point)
+        except ExprError:
+            continue
+        assert _terms_value(numerator, point) / _terms_value(denominator, point) == direct

@@ -22,11 +22,13 @@ from declsolve.exprs import (
     substitute,
 )
 from declsolve.parsing import script_from_transcript
+from declsolve.roots import gcd, real_roots
 from declsolve.solver import (
     EquationSystem,
     InconsistentBindingError,
     InconsistentError,
     NoRealRootError,
+    NumericDivergenceError,
     SolveOutcome,
     SolverError,
     UnderdeterminedError,
@@ -529,9 +531,9 @@ def test_univariate_cubic_irrational_residual_small():
     assert abs(root**3 - 2) < 1e-9
 
 
-def test_univariate_reciprocal_goes_numeric():
-    roots = solve_univariate((Div(Num(6), Var("x")), Num(3)), "x")
-    assert roots == [F(2)]
+def test_univariate_reciprocal_is_exact():
+    roots, method = solver._solve_univariate((Div(Num(6), Var("x")), Num(3)), "x")
+    assert (roots, method) == ([F(2)], "linear-elimination")
 
 
 def test_univariate_rejects_multi_variable_equations():
@@ -555,6 +557,17 @@ def test_univariate_polynomial_finds_every_real_root():
     ))
     assert outcome.candidates == (F(1), F(2), F(3))
     assert outcome.trace == ("polynomial: x in {1, 2, 3}",)
+
+
+def test_real_roots_leaves_out_poles():
+    """Each root shared with the poles goes, however often either
+    polynomial repeats it; the gcd is primitive and found up to sign."""
+    assert real_roots([-1, 0, 1], [-1, 1]) == [F(-1)]  # (x^2 - 1) without x = 1
+    assert real_roots([1, -2, 1], [-1, 1]) == []  # (x - 1)^2 over x - 1
+    assert real_roots([-2, 0, 1], [4, 0, -4, 0, 1]) == []  # x^2 - 2 over its square
+    assert real_roots([-2, 0, 1], [3]) == [-1.4142135623730951, 1.4142135623730951]
+    assert gcd([-6, 11, -6, 1], [2, -3, 1]) in ([-2, 3, -1], [2, -3, 1])  # (x - 1)(x - 2)
+    assert gcd([-6, 11, -6, 1], [4, 2]) == [1]
 
 
 # --- univariate roots against SymPy ------------------------------------------------
@@ -634,6 +647,108 @@ def test_univariate_roots_agree_with_sympy(kind):
                 assert abs(value - want) <= solver.ROOT_DEDUPE_TOLERANCE * max(1.0, abs(want))
 
 
+# --- rational equations -------------------------------------------------------------
+
+@pytest.mark.parametrize("lhs, rhs, expected", [
+    ("1 / x + 1 / (x + 2)", "5 / 12", ([F(-6, 5), F(4)], "quadratic")),
+    ("60 / x + 60 / (x + 10)", "5", ([F(-6), F(20)], "quadratic")),
+    ("x + 2 / x", "3", ([F(1), F(2)], "quadratic")),
+    ("x * x", "2", ([-1.4142135623730951, 1.4142135623730951], "quadratic")),
+    ("(x ^ 2 - 1) / (x - 1)", "2", NoRealRootError),
+    ("x / x", "1", UnderdeterminedError),
+    ("x - 4 * x ^ 0.5 + 4", "0", NumericDivergenceError),
+    ("(2 ^ x - 8) ^ 2", "0", NumericDivergenceError),
+])
+def test_univariate_probes_in_both_orders(lhs, rhs, expected):
+    """A rational equation is cleared of denominators and solved exactly,
+    labelled by degree, with its poles dropped; an irrational root is
+    correctly rounded; a tangent root of a non-rational residual, which no
+    sign change brackets, is a typed failure."""
+    for equation in (_eq(lhs, rhs), _eq(rhs, lhs)):
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                solver._solve_univariate(equation, "x")
+        else:
+            assert solver._solve_univariate(equation, "x") == expected
+
+
+def test_float_grid_takes_only_non_rational_residuals(monkeypatch):
+    numeric = solver._numeric_roots
+    seen = []
+    monkeypatch.setattr(
+        solver, "_numeric_roots", lambda residual: seen.append(residual) or numeric(residual)
+    )
+    rational_equations = [
+        ("6 / x", "3"), ("1 / x ^ 2", "1 / 4"), ("(1 / x) ^ -2 + x", "6"), ("x / (x - 3)", "3 / (x - 3)"),
+    ]
+    for lhs, rhs in rational_equations:
+        try:
+            solve_univariate(_eq(lhs, rhs), "x")
+        except NoRealRootError:
+            pass
+    assert seen == []
+    assert solver._solve_univariate(_eq("x ^ 0.5", "3"), "x") == ([F(9)], "numeric")
+    assert solver._solve_univariate(_eq("2 ^ x", "8"), "x") == ([F(3)], "numeric")
+    (root,), method = solver._solve_univariate(_eq("1000 * 1.05 ^ x", "2000"), "x")
+    assert method == "numeric" and root == pytest.approx(math.log(2) / math.log(1.05))
+    assert len(seen) == 3
+
+
+def _fraction_text(value):
+    return f"({value.numerator} / {value.denominator})"
+
+
+def _oracle_rational_equation(kind, rng):
+    """(lhs, rhs) text of a rational equation in x whose real roots, if it
+    has any, are rational: each quadratic numerator has one rational root
+    by construction, so the other is rational too."""
+    p, q = rng.sample(range(-9, 10), 2)
+    r = F(rng.randint(-20, 20), rng.choice([1, 1, 2, 3]))
+    if kind == "reciprocals":  # a / (x + p) + b / (x + q) = c, c from a root r
+        while r + p == 0 or r + q == 0:
+            r += 1
+        a, b = rng.randint(1, 9), rng.randint(-9, 9)
+        c = a / (r + p) + b / (r + q)
+        return f"{a} / (x + {p}) + {b} / (x + {q})", _fraction_text(c)
+    if kind == "work-rate":  # t / x + t / (x + d) = 1: together in t hours
+        r, d = rng.randint(1, 30), rng.randint(1, 20)
+        t = _fraction_text(F(r * (r + d), 2 * r + d))
+        return f"{t} / x + {t} / (x + {d})", "1"
+    shapes = [  # a pole at p, or no real root
+        (f"(x ^ 2 - {p * p}) / (x - {p})", str(2 * p) if rng.random() < 0.5 else _fraction_text(r)),
+        (f"x / (x - {p})", f"{p} / (x - {p})"),
+        (f"{q or 1} / (x - {p})", "0"),
+        (f"1 / (x + {p})", f"1 / (x + {q})"),
+        (f"(x ^ 2 + {abs(q) + 1}) / (x - {p})", "0"),
+        (f"1 / x", f"{q or 1} / (x + {p}) + 1 / x"),
+    ]
+    return rng.choice(shapes)
+
+
+@pytest.mark.parametrize("kind", ["reciprocals", "work-rate", "poles-and-no-root"])
+def test_rational_equations_agree_with_sympy(kind):
+    """The whole candidate set of each generated rational equation, as exact
+    Fractions, against SymPy's `solve`, which drops the roots that zero a
+    denominator; no real root is NoRealRootError."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import parse_expr
+
+    rng = random.Random(f"rational-oracle-{kind}")
+    x = sympy.Symbol("x")
+    for _ in range(40):
+        lhs, rhs = _oracle_rational_equation(kind, rng)
+        solutions = sympy.solve(sympy.Eq(*(parse_expr(side.replace("^", "**")) for side in (lhs, rhs))), x)
+        real = [root for root in solutions if root.is_real]
+        assert all(root.is_Rational for root in real), (lhs, rhs, solutions)
+        expected = sorted(F(int(root.p), int(root.q)) for root in real)
+        if not expected:
+            with pytest.raises(NoRealRootError):
+                solve_univariate(_eq(lhs, rhs), "x")
+            continue
+        got = solve_univariate(_eq(lhs, rhs), "x")
+        assert got == expected and all(type(root) is F for root in got), (lhs, rhs, got, expected)
+
+
 # --- full pipeline ----------------------------------------------------------------
 
 def test_solve_system_substitution_only():
@@ -693,6 +808,39 @@ def test_solve_system_quadratic_branching_through_linear():
     assert outcome.selected == F(6)
     assert any(step.startswith("quadratic:") for step in outcome.trace)
     assert any(step.startswith("branch:") for step in outcome.trace)
+
+
+def test_goal_roots_are_checked_against_the_other_equations():
+    """A root of the goal's own equation that forward substitution finds
+    breaking another equation is dropped; the trace is unchanged."""
+    cases = [
+        (["x ^ 2 = 9", "2 * x = -6"], (F(-3),)),
+        (["2 * x = -6", "x ^ 2 = 9"], (F(-3),)),
+        (["x ^ 2 = 9", "x ^ 2 = 4"], InconsistentBindingError),
+        (["x ^ 2 = 4", "x ^ 2 = 9"], InconsistentBindingError),
+        (["y ^ 2 = 4", "x ^ 2 = 9", "x + y = 5"], (F(3),)),
+        (["x + y = 5", "y ^ 2 = 4", "x ^ 2 = 9"], (F(3),)),
+    ]
+    for equations, expected in cases:
+        text = "[[var x]] [[var y]] " + " ".join(f"[[{e}]]" for e in equations) + " [[answer = x]]"
+        script = script_from_transcript(text)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                solve_script(script)
+        else:
+            assert solve_script(script).candidates == expected, equations
+    outcome = solve_script(script_from_transcript("[[var x]] [[x ^ 2 = 9]] [[2 * x = -6]] [[answer = x]]"))
+    assert outcome.trace == ("quadratic: x in {-3, 3}",)
+
+
+def test_a_branch_that_raises_fails_alone():
+    """An expression error in one root's branch (here t = 3 zeroes a
+    divisor) drops that branch and keeps the others."""
+    outcome = solve_script(script_from_transcript(
+        "[[var t]] [[var u]] [[var w]] [[t ^ 3 - 6 * t ^ 2 + 11 * t = 6]] [[u + w = t]]"
+        " [[u - w = 1 / (t - 3)]] [[answer = u]]"
+    ))
+    assert outcome.candidates == (F(1, 4), F(1, 2))
 
 
 def test_solve_system_approximate_values_stay_floats():
