@@ -3,7 +3,8 @@
 Three stages, each tried in turn on whatever remains unsolved:
 forward substitution of `x = <evaluable>` bindings, exact Gaussian
 elimination over the rationals, and univariate isolation (exact roots for
-any rational equation, bisection on a float grid for the rest).
+any rational equation, and for the rational part that inverse operations
+peel from any other).
 
     python3 demos/03_solve_systems.py
 """
@@ -61,7 +62,7 @@ system = EquationSystem(((n + Num(2) / n, Num(3)),), frozenset({"n"}), "n")
 outcome = solve_system(system)
 print("\nn + 2/n = 3 ->", outcome.candidates, outcome.trace)
 
-# --- a variable exponent is not rational: it goes to the float stage --------
+# --- a variable exponent is not rational: inverse operations isolate it ------
 
 outcome = solve_script(script_from_transcript("[[var n]] [[1000 * 1.05 ^ n = 2000]] [[answer = n]]"))
 print("1000 * 1.05 ^ n = 2000 ->", outcome.candidates, outcome.trace)

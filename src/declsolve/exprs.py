@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import Any, Callable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -413,15 +413,18 @@ def polynomial(expr: Expr, max_degree: int) -> Terms:
     return fold(postorder(expr), _leaf_terms, operations)
 
 
-def rational(expr: Expr, max_degree: int) -> tuple[Terms, Terms]:
-    """Expand `expr` into polynomials (numerator, denominator), whose
-    quotient `expr` equals wherever none of its divisors is zero.
+def rational(expr: Expr, max_degree: int) -> tuple[Terms, Terms, Terms]:
+    """Expand `expr` into polynomials (numerator, denominator, poles): the
+    quotient equals `expr` wherever `poles`, the denominator times each
+    denominator an inversion or a zero power took away (`1 / (1 / x)` is
+    x / 1 with the pole x), is not zero.
 
     Division by, and integer powers of, a variable-bearing expression are
     rational; otherwise `polynomial`'s errors hold, with `max_degree` on
-    either part.  A divisor that expands to zero raises DivisionByZeroError.
+    each part.  A divisor that expands to zero raises DivisionByZeroError.
     """
     multiply = partial(_multiply, max_degree=max_degree)
+    inverted: list[Terms] = []  # denominators moved up or dropped
 
     def add(left, right, sign=1):
         if left[1] == right[1]:
@@ -431,6 +434,7 @@ def rational(expr: Expr, max_degree: int) -> tuple[Terms, Terms]:
     def divide(left, right):
         if not right[0]:
             raise DivisionByZeroError()
+        inverted.append(right[1])
         return multiply(left[0], right[1]), multiply(left[1], right[0])
 
     def power(base, exponent):
@@ -442,6 +446,8 @@ def rational(expr: Expr, max_degree: int) -> tuple[Terms, Terms]:
             return _power(_divide(num, den), exponent_terms, max_degree), {(): Fraction(1)}
         if value is None or value.denominator != 1:
             raise NonLinearError("unsupported exponent")
+        if value <= 0:  # a negative power moves the denominator up, a zero one drops it
+            inverted.append(den)
         if value < 0:
             if not num:
                 raise DivisionByZeroError("zero raised to a negative power")
@@ -453,7 +459,8 @@ def rational(expr: Expr, max_degree: int) -> tuple[Terms, Terms]:
         Mul: lambda left, right: (multiply(left[0], right[0]), multiply(left[1], right[1])),
         Add: add, Sub: partial(add, sign=-1), Div: divide, Pow: power,
     }
-    return fold(postorder(expr), lambda node: (_leaf_terms(node), {(): Fraction(1)}), operations)
+    numerator, denominator = fold(postorder(expr), lambda node: (_leaf_terms(node), {(): Fraction(1)}), operations)
+    return numerator, denominator, reduce(multiply, inverted, denominator)
 
 
 def _leaf_terms(node: Expr) -> Terms:
@@ -611,23 +618,15 @@ def _repr_leaf(node: Expr) -> str:
 
 _BINARY_KINDS = frozenset({Add, Sub, Mul, Div})
 
-# Plain float arithmetic, for callers that evaluate a tree at many points.
-# math.pow raises ValueError where `**` would return a complex number (a
-# negative base to a fractional power), so such a point has no value.
-FLOAT_OPERATIONS = {
-    Neg: operator.neg, Add: operator.add, Sub: operator.sub,
-    Mul: operator.mul, Div: operator.truediv, Pow: math.pow,
-}
-
 # Exact arithmetic holds every product, quotient and power to the bounds.
 _EXACT_OPERATIONS = {
-    **FLOAT_OPERATIONS,
+    Neg: operator.neg, Add: operator.add, Sub: operator.sub,
     Mul: lambda left, right: _bounded(left * right),
     Div: _exact_quotient,
     Pow: exact_power,
 }
 
-_REBUILD = {kind: kind for kind in FLOAT_OPERATIONS}
+_REBUILD = {kind: kind for kind in _EXACT_OPERATIONS}
 
 # The rest of `polynomial`'s operations depend on its degree bound.
 _TERM_OPERATIONS = {
@@ -641,7 +640,7 @@ _RENDER = {Neg: "(-{})".format} | {
 
 # A dataclass hashes the tuple of its fields; so does a node, from the
 # hashes of its operands.
-_HASH = {kind: lambda *operands: hash(operands) for kind in FLOAT_OPERATIONS}
+_HASH = {kind: lambda *operands: hash(operands) for kind in _EXACT_OPERATIONS}
 
 _REPR = {Neg: "Neg(child={})".format, Pow: "Pow(base={}, exponent={})".format} | {
     kind: f"{kind.__name__}(left={{}}, right={{}})".format for kind in _BINARY_KINDS

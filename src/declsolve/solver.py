@@ -10,34 +10,41 @@ Strategy pipeline, cheapest first:
    when the residual is linear;
 3. isolating a univariate equation and branching over its roots: exact
    real-root isolation for a rational equation, cleared of denominators
-   and poles, and bisection on a float grid for anything else.
+   and poles, once inverse operations peel any other to a rational part.
 
-All arithmetic on the exact path is over `fractions.Fraction`; floats only
-appear for irrational or numerically-found roots, and any value derived
-from one stays tagged approximate.
+All arithmetic is over `fractions.Fraction`; floats only appear for
+irrational roots, powers and logarithms, and any value derived from one
+stays tagged approximate.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exprs import (
-    FLOAT_OPERATIONS,
+    MAX_EXPONENT,
+    Add,
+    Div,
     Expr,
     ExprError,
+    Mul,
+    Neg,
+    NonIntegerExponentError,
     NonLinearError,
     Num,
+    Pow,
+    Sub,
     Terms,
     Var,
     eval_exact,
-    fold,
+    exact_power,
     format_rational,
     free_vars,
     linear_form,
-    postorder,
     rational,
     substitute,
 )
@@ -50,12 +57,10 @@ Names = tuple[frozenset[str], frozenset[str]]  # each side's variable names
 # A candidate is exact (Fraction) or approximate (float).
 Value = Fraction | float
 
-NUMERIC_TOLERANCE = 1e-9
 ROOT_DEDUPE_TOLERANCE = 1e-7
 MAX_BRANCHES = 16
 
-# Degree bound when expanding a univariate equation into a polynomial;
-# larger powers fall through to the numeric root finder.
+# Degree bound when expanding a univariate equation; one past it is isolated.
 _MAX_POLY_DEGREE = 32
 
 
@@ -90,8 +95,7 @@ class NoRealRootError(SolverError):
 
 
 class NumericDivergenceError(SolverError):
-    def __init__(self, message: str = "numeric root search did not converge"):
-        super().__init__(message)
+    """A value too large, or with no exact value; the message says which."""
 
 
 class UnsolvableError(SolverError):
@@ -299,60 +303,6 @@ def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
 # --------------------------------------------------------------------------
 # Univariate equations
 
-def _eval_float(nodes: list[Expr], x: float) -> float:
-    """The float value of a univariate `postorder` node list at `x`."""
-    return fold(nodes, lambda node: x if type(node) is Var else float(node.value), FLOAT_OPERATIONS)
-
-
-_GRID = sorted(
-    {0.0}
-    | {10.0**k for k in range(-6, 7)}
-    | {-(10.0**k) for k in range(-6, 7)}
-)
-
-
-def _numeric_roots(residual: Expr) -> list[float]:
-    """Grid points where the residual vanishes, and bisection over the sign
-    changes of a log-spaced grid."""
-    nodes = postorder(residual)
-
-    def f(x: float) -> float | None:
-        try:
-            y = _eval_float(nodes, x)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return None
-        return y if math.isfinite(y) else None
-
-    samples = [(x, f(x)) for x in _GRID]
-    valid = [(x, y) for x, y in samples if y is not None]
-    roots = [x for x, y in valid if abs(y) < NUMERIC_TOLERANCE]
-    for (x0, y0), (x1, y1) in zip(valid, valid[1:]):
-        if y0 * y1 < 0:
-            lo, hi, f_lo = x0, x1, y0
-            for _ in range(200):
-                mid = (lo + hi) / 2
-                y_mid = f(mid)
-                if y_mid is None:
-                    break
-                if abs(y_mid) < NUMERIC_TOLERANCE or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
-                    roots.append(mid)
-                    break
-                if f_lo * y_mid < 0:
-                    hi = mid
-                else:
-                    lo, f_lo = mid, y_mid
-
-    deduped: list[float] = []
-    for root in sorted(roots):
-        if not deduped or abs(root - deduped[-1]) > ROOT_DEDUPE_TOLERANCE:
-            deduped.append(root)
-    if deduped:
-        return deduped
-    if len(valid) == len(samples):
-        raise NoRealRootError("no sign change on the grid")
-    raise NumericDivergenceError()
-
-
 def _coefficients(terms: Terms, var: str) -> list[int]:
     """Integer coefficients, lowest first, of a multiple of `terms` in `var`."""
     degree = max((monomial[0][1] if monomial else 0 for monomial in terms), default=-1)
@@ -362,52 +312,105 @@ def _coefficients(terms: Terms, var: str) -> list[int]:
 
 
 def _solve_univariate(equation: Equation, var: str) -> tuple[list[Value], str]:
-    """Roots of a single-unknown equation plus the method label used."""
-    lhs, rhs = equation
-    residual = lhs - rhs
+    """Roots of a single-unknown equation plus the method label used.  A
+    residual that is not rational is first peeled by `_isolate`."""
+    part, values, inverted = equation[0] - equation[1], [(Fraction(0), False)], False
+    roots: list[Value] = []
     try:
-        numerator, denominator = rational(residual, _MAX_POLY_DEGREE)
-    except NonLinearError:
-        return [_snap_exact(residual, var, r) for r in _numeric_roots(residual)], "numeric"
-    except ExprError as err:
-        raise NumericDivergenceError(str(err)) from err
-    coeffs = _coefficients(numerator, var)
-    if len(coeffs) == 0:
-        raise UnderdeterminedError("equation holds for every value")
-    if len(coeffs) == 1:
-        raise NoRealRootError("equation reduces to a false constant identity")
-    try:
-        # A root the numerator shares with the denominator is a pole.
-        roots = real_roots(coeffs, _coefficients(denominator, var))
-    except IsolationError as err:
+        while True:
+            try:
+                expansions = [(rational(part - v if v else part, _MAX_POLY_DEGREE), approx) for v, approx in values]
+                break
+            except NonLinearError:
+                part, values, inverted = *_isolate(part, values), True
+        for (numerator, _, poles), approx in expansions:
+            coeffs = _coefficients(numerator, var)
+            if len(coeffs) == 0:
+                raise UnderdeterminedError("equation holds for every value")
+            if len(coeffs) > 1:  # else a false constant identity
+                found = real_roots(coeffs, _coefficients(poles, var))
+                roots += map(float, found) if approx else found
+    except (ExprError, IsolationError, OverflowError) as err:
         raise NumericDivergenceError(str(err)) from err
     if not roots:
         raise NoRealRootError()
+    if inverted:
+        return sorted(roots), "inversion"
     return roots, {2: "linear-elimination", 3: "quadratic"}.get(len(coeffs), "polynomial")
 
 
-def _snap_exact(residual: Expr, var: str, root: float) -> Value:
-    """Promote a numeric root to an exact rational when it truly is one."""
-    for guess in (Fraction(round(root)), Fraction(root).limit_denominator(1_000_000)):
-        if abs(float(guess) - root) > 1e-6 * max(1.0, abs(root)):
+# The operand holding the unknown from its node's value v and other operand c.
+_INVERSES = {
+    (Add, True): Sub, (Add, False): Sub, (Mul, True): Div, (Mul, False): Div,
+    (Sub, True): Add, (Sub, False): lambda v, c: c - v,
+    (Div, True): lambda v, c: v / (1 / c),  # v * c, for c != 0
+    (Div, False): lambda v, c: 1 / (v / c),  # c / v, for c != 0 and v != 0
+}
+
+
+def _isolate(part: Expr, values: list[tuple[Fraction, bool]]) -> tuple[Expr, list[tuple[Fraction, bool]]]:
+    """PRESS isolation (Bundy & Welham 1981) of a non-rational `part` down
+    through its next power: each step keeps the operand holding the unknown
+    and maps each (value, approximate) the part must take to its operand's
+    by `_inverse`.  The other operand must be exact."""
+    while True:
+        kind = type(part)
+        if kind is Neg:
+            part, values = part.child, [(-value, approx) for value, approx in values]
             continue
+        left, right = (part.base, part.exponent) if kind is Pow else (part.left, part.right)
+        on_left = not free_vars(right)
+        if not on_left and free_vars(left):
+            raise UnsolvableError("the unknown occurs in both operands of one operation")
+        part, other = (left, eval_exact(right)) if on_left else (right, eval_exact(left))
+        values = [new for value, approx in values for new in _inverse(kind, on_left, value, other, approx)]
+        if len(values) > MAX_BRANCHES:
+            raise UnsolvableError(f"root branching exceeded {MAX_BRANCHES} branches")
+        if kind is Pow:
+            return part, values
+
+
+def _inverse(kind: type, on_left: bool, value: Fraction, c: Fraction, approx: bool) -> list[tuple[Fraction, bool]]:
+    """Each real operand, with the unknown, of a node of `kind` whose other
+    operand is c and whose value is `value`.  `p ^ c` takes both signs of an
+    even c's root, and p >= 0 for a fractional c, as `exact_power` does;
+    `c ^ p` takes the nearest fraction with a denominator up to MAX_EXPONENT
+    if it checks out.  An irrational root or logarithm is a float."""
+    try:
+        if kind is not Pow:
+            return [(eval_exact(_INVERSES[kind, on_left](Num(value), Num(c))), approx)]
+        if not on_left:
+            if c <= 0:
+                raise UnsolvableError(f"a power of {format_rational(c)} has the unknown in its exponent")
+            if value <= 0:
+                return []
+            power = _log(value) / _log(c)
+            guess = Fraction(power).limit_denominator(MAX_EXPONENT)
+            with suppress(ExprError):
+                if not approx and exact_power(c, guess) == value:
+                    return [(guess, False)]
+            return [(Fraction(power), True)]
+        even = c.denominator == 1 and c.numerator % 2 == 0
+        if value < 0 and (even or c.denominator != 1):
+            return []
         try:
-            if eval_exact(residual, {var: guess}) == 0:
-                return guess
-        except ExprError:
-            continue
-    return root
+            root = exact_power(abs(value), 1 / c)
+        except NonIntegerExponentError:
+            root, approx = Fraction(math.exp(_log(abs(value)) / c)), True
+        return [(sign * root, approx) for sign in ((-1, 1) if even and root else (-1 if value < 0 else 1,))]
+    except ZeroDivisionError:  # no real operand gives `value`
+        return []
+
+
+def _log(value: Fraction) -> float:
+    return math.log(value.numerator) - math.log(value.denominator)  # of any size
 
 
 def solve_univariate(equation: Equation, var: str) -> list[Value]:
-    """Real roots, exact (Fraction) where possible, else approximate (float).
-
-    A rational equation of degree 1 to 32, cleared of denominators, goes to
-    real-root isolation, which finds every real root but the poles (rational
-    ones exactly, others correctly rounded).  Anything else falls back to
-    bisection over the sign changes of a float grid, with |f(root)| < 1e-9
-    convergence and roots deduped within 1e-7.
-    """
+    """Real roots, exact (Fraction) where possible, else approximate (float):
+    every real root but the poles of a rational equation of degree 1 to 32,
+    cleared of denominators, or of the rational part `_isolate` peels from
+    any other equation (rational roots exactly, others correctly rounded)."""
     stray = (free_vars(equation[0]) | free_vars(equation[1])) - {var}
     if stray:
         raise ValueError(f"equation is not univariate in '{var}': {sorted(stray)}")
@@ -540,15 +543,11 @@ def _branch_univariate(
 ) -> list[tuple[Fraction, bool]] | None:
     """Try each univariate residual equation; branch over the first that solves."""
     last_error: SolverError | None = None
-    for index, (equation, (lhs_names, rhs_names)) in enumerate(
-        zip(residual.equations, residual.names)
-    ):
-        names = lhs_names | rhs_names
-        if len(names) != 1:
-            continue
-        (var,) = names
+    univariate = [(i, *(left | right)) for i, (left, right) in enumerate(residual.names) if len(left | right) == 1]
+    # The goal's own last, so that a goal root comes out of a whole branch solve.
+    for index, var in sorted(univariate, key=lambda item: item[1] == residual.goal):
         try:
-            roots, method = _solve_univariate(equation, var)
+            roots, method = _solve_univariate(residual.equations[index], var)
         except SolverError as err:
             last_error = err
             continue
@@ -556,7 +555,7 @@ def _branch_univariate(
         trace.append(f"{method}: {var} in {{{rendered}}}")
         rest = residual.equations[:index] + residual.equations[index + 1 :]
         rest_names = residual.names[:index] + residual.names[index + 1 :]
-        reduced_names = tuple((left - names, right - names) for left, right in rest_names)
+        reduced_names = tuple((left - {var}, right - {var}) for left, right in rest_names)
         collected: list[tuple[Fraction, bool]] = []
         branch_error: Exception | None = None
         for root in roots:
@@ -573,7 +572,7 @@ def _branch_univariate(
                     )
                     for (lhs, rhs), (left, right) in zip(rest, rest_names)
                 ),
-                residual.unknowns - names,
+                residual.unknowns - {var},
                 residual.goal,
                 reduced_names,
             )

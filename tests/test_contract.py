@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from declsolve.client import Live
 from declsolve.evaluation import VERDICTS, EvalRecord, Problem, RunConfig, run_problem
@@ -106,7 +106,18 @@ def numeral(digits, leading_zeros, decimals):
     return f"[[var x]] [[x = {text}]] [[answer = x]]"
 
 
+# Equations the solver isolates: a constant power with no exact value, a
+# logarithm of a number past the float range, one to a base near 1, and a
+# power past the degree bound.
+ISOLATION_PROBES = [
+    "[[var a]] [[a + a = 2 ^ 2 ^ 10.1]] [[answer = a]]",
+    "[[var x]] [[2 ^ x = 10 ^ 400]] [[answer = x]]",
+    "[[var x]] [[1.0001 ^ x = 10 ^ 300]] [[answer = x]]",
+    "[[var x]] [[x ^ 40 = 5]] [[answer = x]]",
+]
+
 adversarial_transcripts = st.one_of(
+    st.sampled_from(ISOLATION_PROBES),
     st.builds(flat, st.sampled_from(["+", "-", "*"]), st.integers(1000, 5000)),
     st.builds(flat, st.just("*"), st.integers(1000, 5000), st.sampled_from(["2", "x", "1.5"])),
     st.builds(nested, st.sampled_from(["parens", "power-tower", "unary-minus"])),
@@ -128,6 +139,10 @@ adversarial_transcripts = st.one_of(
 @pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(adversarial_transcripts)
+@example(ISOLATION_PROBES[0])
+@example(ISOLATION_PROBES[1])
+@example(ISOLATION_PROBES[2])
+@example(ISOLATION_PROBES[3])
 def test_adversarial_transcripts_become_records(variant, transcript):
     record_of(transcript, variant)
 

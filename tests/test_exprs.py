@@ -212,16 +212,24 @@ def test_polynomial_expands_to_sparse_monomials():
 def test_rational_clears_variable_denominators():
     x = Var("x")
     one = {(): Fraction(1)}
-    assert rational(6 / x, 1) == ({(): Fraction(6)}, {(("x", 1),): Fraction(1)})
+    assert rational(6 / x, 1) == ({(): Fraction(6)}, {(("x", 1),): Fraction(1)}, {(("x", 1),): Fraction(1)})
     assert rational(1 / x + 1 / (x + 2), 2) == (
         {(("x", 1),): Fraction(2), (): Fraction(2)},
         {(("x", 2),): Fraction(1), (("x", 1),): Fraction(2)},
+        {(("x", 2),): Fraction(1), (("x", 1),): Fraction(2)},
     )
-    assert rational(Pow(x, Num(-2)), 2) == (one, {(("x", 2),): Fraction(1)})
-    assert rational(Pow(1 / x, Num(-1)), 1) == ({(("x", 1),): Fraction(1)}, one)
-    assert rational(x / x - 1, 1) == ({}, {(("x", 1),): Fraction(1)})
+    assert rational(Pow(x, Num(-2)), 2) == (one, {(("x", 2),): Fraction(1)}, {(("x", 2),): Fraction(1)})
+    # A denominator an inversion or a zero power takes away stays a pole.
+    assert rational(Pow(1 / x, Num(-1)), 1) == ({(("x", 1),): Fraction(1)}, one, {(("x", 1),): Fraction(1)})
+    assert rational(3 / (1 / (x + 1)), 1) == (
+        {(("x", 1),): Fraction(3), (): Fraction(3)}, one, {(("x", 1),): Fraction(1), (): Fraction(1)}
+    )
+    assert rational(Pow(1 / x, Num(0)), 1) == (one, one, {(("x", 1),): Fraction(1)})
+    assert rational(x / x - 1, 1) == ({}, {(("x", 1),): Fraction(1)}, {(("x", 1),): Fraction(1)})
     # A constant power folds as in `polynomial`; a constant divisor stays below.
-    assert rational(Pow(Num(4), Num(Fraction(1, 2))) / 8 * x, 1) == ({(("x", 1),): Fraction(2)}, {(): Fraction(8)})
+    assert rational(Pow(Num(4), Num(Fraction(1, 2))) / 8 * x, 1) == (
+        {(("x", 1),): Fraction(2)}, {(): Fraction(8)}, {(): Fraction(8)}
+    )
     with pytest.raises(DivisionByZeroError):
         rational(1 / (x - x), 1)
     with pytest.raises(DivisionByZeroError):
@@ -645,11 +653,12 @@ def _terms_value(terms, point):
 def test_rational_agrees_with_polynomial_and_eval(expr):
     """Where `polynomial` expands `expr`, `rational` gives the same terms
     over a constant; wherever `expr` evaluates exactly, numerator /
-    denominator takes its value; and a divisor that expands to zero leaves
+    denominator takes its value and poles is not zero, and wherever a
+    divisor is zero, so is poles; and a divisor that expands to zero leaves
     `expr` nowhere exactly evaluable."""
     points = (FULL_BINDINGS, {"x": Fraction(-2), "y": Fraction(1, 3), "z": Fraction(0)})
     try:
-        numerator, denominator = rational(expr, _OLD_MAX_POLY_DEGREE)
+        numerator, denominator, poles = rational(expr, _OLD_MAX_POLY_DEGREE)
     except DivisionByZeroError:
         for point in points:
             with pytest.raises(ExprError):
@@ -667,6 +676,10 @@ def test_rational_agrees_with_polynomial_and_eval(expr):
     for point in points:
         try:
             direct = eval_exact(expr, point)
+        except DivisionByZeroError:
+            assert _terms_value(poles, point) == 0
+            continue
         except ExprError:
             continue
+        assert _terms_value(poles, point) != 0
         assert _terms_value(numerator, point) / _terms_value(denominator, point) == direct

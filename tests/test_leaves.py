@@ -145,8 +145,7 @@ def _count_walks(monkeypatch):
         calls[0] += 1
         return original(expr)
 
-    for module in (exprs, solver):  # every namespace that calls it
-        monkeypatch.setattr(module, "postorder", counted)
+    monkeypatch.setattr(exprs, "postorder", counted)  # the one namespace that calls it
     return calls
 
 

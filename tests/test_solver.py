@@ -656,14 +656,18 @@ def test_univariate_roots_agree_with_sympy(kind):
     ("x * x", "2", ([-1.4142135623730951, 1.4142135623730951], "quadratic")),
     ("(x ^ 2 - 1) / (x - 1)", "2", NoRealRootError),
     ("x / x", "1", UnderdeterminedError),
-    ("x - 4 * x ^ 0.5 + 4", "0", NumericDivergenceError),
-    ("(2 ^ x - 8) ^ 2", "0", NumericDivergenceError),
+    ("x - 4 * x ^ 0.5 + 4", "0", UnsolvableError),
+    ("(2 ^ x - 8) ^ 2", "0", ([F(3)], "inversion")),
+    ("1 / (1 / x)", "0", NoRealRootError),
+    ("(1 / x) ^ (0 - 1)", "0", NoRealRootError),
+    ("1 / (1 / x)", "3", ([F(3)], "linear-elimination")),
 ])
 def test_univariate_probes_in_both_orders(lhs, rhs, expected):
     """A rational equation is cleared of denominators and solved exactly,
-    labelled by degree, with its poles dropped; an irrational root is
-    correctly rounded; a tangent root of a non-rational residual, which no
-    sign change brackets, is a typed failure."""
+    labelled by degree, with its poles dropped, those of an inverted
+    divisor included; an irrational root is correctly rounded; a
+    non-rational residual is isolated, and fails typed where the unknown
+    occurs twice."""
     for equation in (_eq(lhs, rhs), _eq(rhs, lhs)):
         if isinstance(expected, type):
             with pytest.raises(expected):
@@ -672,14 +676,13 @@ def test_univariate_probes_in_both_orders(lhs, rhs, expected):
             assert solver._solve_univariate(equation, "x") == expected
 
 
-def test_float_grid_takes_only_non_rational_residuals(monkeypatch):
-    numeric = solver._numeric_roots
+def test_rational_equations_never_reach_the_peel_step(monkeypatch):
+    isolate = solver._isolate
     seen = []
-    monkeypatch.setattr(
-        solver, "_numeric_roots", lambda residual: seen.append(residual) or numeric(residual)
-    )
+    monkeypatch.setattr(solver, "_isolate", lambda part, values: seen.append(part) or isolate(part, values))
     rational_equations = [
         ("6 / x", "3"), ("1 / x ^ 2", "1 / 4"), ("(1 / x) ^ -2 + x", "6"), ("x / (x - 3)", "3 / (x - 3)"),
+        ("x ^ 2", "16 ^ 0.5"), ("(x - 1) ^ 8", "0"), ("1 / (1 / x)", "3"),
     ]
     for lhs, rhs in rational_equations:
         try:
@@ -687,11 +690,102 @@ def test_float_grid_takes_only_non_rational_residuals(monkeypatch):
         except NoRealRootError:
             pass
     assert seen == []
-    assert solver._solve_univariate(_eq("x ^ 0.5", "3"), "x") == ([F(9)], "numeric")
-    assert solver._solve_univariate(_eq("2 ^ x", "8"), "x") == ([F(3)], "numeric")
-    (root,), method = solver._solve_univariate(_eq("1000 * 1.05 ^ x", "2000"), "x")
-    assert method == "numeric" and root == pytest.approx(math.log(2) / math.log(1.05))
-    assert len(seen) == 3
+    assert solver._solve_univariate(_eq("x ^ 0.5", "3"), "x") == ([F(9)], "inversion")
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("lhs, rhs, expected", [
+    ("x ^ 0.5", "3", [F(9)]),
+    ("2 ^ x", "8", [F(3)]),
+    ("4 ^ x", "2", [F(1, 2)]),
+    ("(1 / 2) ^ x", "8", [F(-3)]),
+    ("2 ^ ((1 / x - 2) ^ 2)", "16", [F(1, 4)]),
+    ("1000 * 1.05 ^ x", "2000", [math.log(2) / math.log(1.05)]),
+    ("x ^ 1.5", "10", [4.641588833612779]),
+    ("x ^ 40", "5", [-(5 ** (1 / 40)), 5 ** (1 / 40)]),
+    ("2 ^ x", "10 ^ 400", [400 * math.log2(10)]),
+    ("1.0001 ^ x", "10 ^ 300", [300 * math.log(10) / math.log(1.0001)]),
+    ("(x + 1) ^ 0.5", "0 - 2", NoRealRootError),
+    ("5 / 2 ^ x", "0", NoRealRootError),
+    ("0 / x ^ 1.5", "12", NoRealRootError),
+    ("x - 4 * x ^ 0.5 + 4", "0", UnsolvableError),
+    ("x * 2 ^ x", "8", UnsolvableError),
+    ("x ^ 40 + x", "2", UnsolvableError),
+    ("(0 - 2) ^ x", "4", UnsolvableError),
+    ("x * x", "2 ^ 0.5", NumericDivergenceError),
+    ("x * 1.05 ^ 0.08333", "1000", NumericDivergenceError),
+])
+def test_non_rational_equations_are_isolated_in_both_orders(lhs, rhs, expected):
+    """Inverse operations peel a non-rational equation down to a rational
+    part: an exact power or logarithm stays exact, an irrational one is a
+    float, and a root reached through a float is one.  The unknown in both
+    operands of a node, or a constant with no exact value, fails typed."""
+    for equation in (_eq(lhs, rhs), _eq(rhs, lhs)):
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                solver._solve_univariate(equation, "x")
+            continue
+        roots, method = solver._solve_univariate(equation, "x")
+        assert method == "inversion"
+        assert [type(root) for root in roots] == [type(want) for want in expected], roots
+        assert roots == pytest.approx(expected, rel=1e-12)
+
+
+_BASES = {"2": F(2), "3": F(3), "(1 / 2)": F(1, 2), "1.05": F(21, 20)}
+
+
+def _oracle_inversion(kind, rng):
+    """(lhs, rhs, lhs - rhs in SymPy, the domain of x) of a * b ^ (q * x) =
+    c, whose root is an integer, a fraction p / q or (most often) an
+    irrational logarithm, or of x ^ (p / q) = c.  There x >= 0: a fractional
+    power of a negative base has no exact value here."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x", real=True)
+
+    def number(value):
+        return sympy.Rational(value.numerator, value.denominator)
+
+    if kind == "power":
+        q = rng.randint(2, 4)
+        p = rng.choice([k for k in range(-5, 6) if k and math.gcd(k, q) == 1])
+        c = F(rng.randint(1, 5)) ** abs(p) if rng.random() < 0.5 else F(rng.randint(-30, 60), rng.randint(1, 3))
+        c = 1 / c if p < 0 and c and rng.random() < 0.5 else c
+        equation = x ** sympy.Rational(p, q) - number(c)
+        return f"x ^ ({p} / {q})", _fraction_text(c), equation, sympy.Interval(0, sympy.oo)
+    text, base = rng.choice(sorted(_BASES.items()))
+    a, q = rng.randint(1, 9), {"integer": 1, "rational": rng.randint(2, 5), "irrational": 1}[kind]
+    c = a * base ** rng.randint(-6, 6) if kind != "irrational" else F(rng.randint(1, 500), rng.randint(1, 3))
+    equation = a * number(base) ** (q * x) - number(c)
+    return f"{a} * {text} ^ ({q} * x)", _fraction_text(c), equation, sympy.S.Reals
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "irrational", "power"])
+def test_inversion_agrees_with_sympy(kind):
+    """The whole candidate set of each generated exponential or fractional
+    power equation against SymPy's real solutions: exact roots as equal
+    Fractions, the others as floats within ROOT_DEDUPE_TOLERANCE (relative),
+    and none as NoRealRootError.  The real solutions come from `solveset`
+    over the reals, since `solve` misses some (3 * 1.05 ^ x = 440)."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"inversion-oracle-{kind}")
+    for _ in range(12):
+        lhs, rhs, equation, domain = _oracle_inversion(kind, rng)
+        real = sympy.solveset(equation, sympy.Symbol("x", real=True), domain)
+        assert isinstance(real, sympy.FiniteSet) or real is sympy.S.EmptySet, (lhs, rhs, real)
+        expected = sorted(
+            F(int(root.p), int(root.q)) if root.is_Rational else float(root.evalf(50)) for root in real
+        )
+        if not expected:
+            with pytest.raises(NoRealRootError):
+                solve_univariate(_eq(lhs, rhs), "x")
+            continue
+        got = solve_univariate(_eq(lhs, rhs), "x")
+        assert [type(root) for root in got] == [type(want) for want in expected], (lhs, rhs, got, expected)
+        for value, want in zip(got, expected):
+            if isinstance(want, F):
+                assert value == want, (lhs, rhs, got, expected)
+            else:
+                assert abs(value - want) <= solver.ROOT_DEDUPE_TOLERANCE * abs(want), (lhs, rhs, got, expected)
 
 
 def _fraction_text(value):
@@ -782,20 +876,20 @@ def test_solve_system_mixes_substitution_and_elimination():
 
 def test_solve_system_folds_constant_fractional_powers():
     """A constant power with an exact rational value folds in a linear
-    system, as eval_exact folds it; one without stays non-polynomial, so
-    its equation still reaches the numeric root finder."""
+    system, as eval_exact folds it; one without has no exact value, so its
+    equation fails typed, as forward substitution and elimination do."""
     outcome = solve_script(
         script_from_transcript("[[var x]] [[var y]] [[x + y = 16 ^ 0.5]] [[x - y = 0]] [[answer = x]]")
     )
     assert outcome.selected == F(2) and isinstance(outcome.selected, F)
     assert outcome.trace == ("linear-elimination: x = 2, y = 2",)
-    outcome = solve_script(script_from_transcript("[[var x]] [[x * x = 2 ^ 0.5]] [[answer = x]]"))
-    assert sorted(outcome.candidates) == [pytest.approx(-(2**0.25)), pytest.approx(2**0.25)]
-    assert outcome.trace[0].startswith("numeric: x in {")
-    # 0.08333 is 8333/100000: a root degree over MAX_EXPONENT stays non-linear.
-    outcome = solve_script(script_from_transcript("[[var p]] [[p * 1.05 ^ 0.08333 = 1000]] [[answer = p]]"))
-    assert outcome.selected == pytest.approx(1000 / 1.05**0.08333)
-    assert outcome.trace[0].startswith("numeric: p in {")
+    with pytest.raises(NumericDivergenceError, match="exponent 1/2 is not an integer"):
+        solve_script(script_from_transcript("[[var x]] [[x * x = 2 ^ 0.5]] [[answer = x]]"))
+    # 0.08333 is 8333/100000: a root degree over MAX_EXPONENT.
+    with pytest.raises(NumericDivergenceError, match="exceeds the supported magnitude"):
+        solve_script(script_from_transcript("[[var p]] [[p * 1.05 ^ 0.08333 = 1000]] [[answer = p]]"))
+    with pytest.raises(ExprError):  # as forward substitution finds it
+        solve_script(script_from_transcript("[[var p]] [[p = 1000 / 1.05 ^ 0.08333]] [[answer = p]]"))
 
 
 def test_solve_system_quadratic_branching_through_linear():
@@ -820,6 +914,7 @@ def test_goal_roots_are_checked_against_the_other_equations():
         (["x ^ 2 = 4", "x ^ 2 = 9"], InconsistentBindingError),
         (["y ^ 2 = 4", "x ^ 2 = 9", "x + y = 5"], (F(3),)),
         (["x + y = 5", "y ^ 2 = 4", "x ^ 2 = 9"], (F(3),)),
+        (["x + y = 5", "x ^ 2 = 9", "y ^ 2 = 4"], (F(3),)),
     ]
     for equations, expected in cases:
         text = "[[var x]] [[var y]] " + " ".join(f"[[{e}]]" for e in equations) + " [[answer = x]]"

@@ -1,9 +1,8 @@
 """The post-order walker against the recursive passes it replaced.
 
-Test-only copies of the seven tree passes as they were (six recursive
-`isinstance` ladders, in `exprs` and `solver._eval_float`, and the
-iterative `free_vars`) serve as references.  The port
-gives the same values, trees, monomial dicts and strings, and where a
+Test-only copies of the tree passes as they were (recursive `isinstance`
+ladders in `exprs`, and the iterative `free_vars`) serve as references.
+The port gives the same values, trees, monomial dicts and strings, and where a
 reference raises, the same exception type and message, with two deliberate
 exceptions:
 
@@ -18,7 +17,6 @@ exceptions:
   power (no exact root, or an exponent or result over the size bounds).  The reference marks this one line (`fold_fractional`).
 """
 
-import math
 import sys
 from fractions import Fraction
 
@@ -54,7 +52,6 @@ from declsolve.exprs import (
     render,
     substitute,
 )
-from declsolve.solver import _eval_float
 
 # --- the ladders, as they were --------------------------------------------------
 
@@ -212,28 +209,6 @@ def old_render(expr):
     raise TypeError(f"unknown node: {type(expr).__name__}")
 
 
-def old_eval_float(expr, var, value):
-    if isinstance(expr, Num):
-        return float(expr.value)
-    if isinstance(expr, Var):
-        if expr.name != var:
-            raise ValueError(f"unexpected variable {expr.name}")
-        return value
-    if isinstance(expr, Neg):
-        return -old_eval_float(expr.child, var, value)
-    if isinstance(expr, Add):
-        return old_eval_float(expr.left, var, value) + old_eval_float(expr.right, var, value)
-    if isinstance(expr, Sub):
-        return old_eval_float(expr.left, var, value) - old_eval_float(expr.right, var, value)
-    if isinstance(expr, Mul):
-        return old_eval_float(expr.left, var, value) * old_eval_float(expr.right, var, value)
-    if isinstance(expr, Div):
-        return old_eval_float(expr.left, var, value) / old_eval_float(expr.right, var, value)
-    if isinstance(expr, Pow):
-        return math.pow(old_eval_float(expr.base, var, value), old_eval_float(expr.exponent, var, value))
-    raise TypeError(f"unknown node: {type(expr).__name__}")
-
-
 # --- comparing outcomes ------------------------------------------------------------
 
 
@@ -246,8 +221,6 @@ def outcome(function, *args):
         result = function(*args)
     except Exception as err:  # every type, so that any difference shows
         return _Raised((type(err), str(err)))
-    if isinstance(result, float) and math.isnan(result):
-        return "nan"
     return result
 
 
@@ -374,12 +347,6 @@ def _is_constant_fractional_power(node, max_degree):
     return _constant(exponent) is not None and _constant(exponent).denominator != 1
 
 
-@settings(max_examples=300, deadline=None)
-@given(trees(["x"]), st.sampled_from([0.0, -1.5, 2.0, 1e-6, 1e6]))
-def test_eval_float_matches_the_ladder(expr, value):
-    assert outcome(_eval_float, postorder(expr), value) == outcome(old_eval_float, expr, "x", value)
-
-
 @pytest.mark.parametrize(
     "expr",
     [
@@ -439,4 +406,3 @@ def test_deep_chains_are_walked_without_recursion(kind):
     assert list(leaves(expr)[1]) == [leaf.value] * DEPTH
     symbol = {Add: "+", Sub: "-", Mul: "*"}[kind]
     assert render(expr) == "(" * DEPTH + "x" + f" {symbol} {leaf.value})" * DEPTH
-    assert _eval_float(postorder(expr), 0.0) == constant
