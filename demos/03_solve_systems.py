@@ -66,3 +66,15 @@ print("\nn + 2/n = 3 ->", outcome.candidates, outcome.trace)
 
 outcome = solve_script(script_from_transcript("[[var n]] [[1000 * 1.05 ^ n = 2000]] [[answer = n]]"))
 print("1000 * 1.05 ^ n = 2000 ->", outcome.candidates, outcome.trace)
+
+# --- every root is checked against every other equation ---------------------
+
+# A rounded root passes a check whose two sides agree to a relative 1e-7:
+# the restatement x * x = 2 keeps both irrational roots, where x ^ 3 = 5 in
+# its place would reject both (InconsistentBindingError).
+outcome = solve_script(script_from_transcript(
+    "[[var x]] [[var y]] [[x ^ 2 = 2]] [[x * x = 2]] [[y = x + 1]] [[answer = y]]"
+))
+print("\nx ^ 2 = 2, x * x = 2, y = x + 1 ->", outcome.candidates)
+for step in outcome.trace:
+    print("  ", step)

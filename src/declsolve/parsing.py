@@ -513,13 +513,12 @@ def question_numbers(question: str) -> list[tuple[Fraction, frozenset[Fraction]]
 
 def check_principles(script: SolutionScript, question: str) -> PrincipleReport:
     """Report rule-5 findings: question numbers absent from every equation."""
-    used: set[Fraction] = set()
-    for eq in script.equations:
-        used.update(eq.numerals)
+    # Keyed by numerator and denominator, as in question_numbers.
+    used = {value.as_integer_ratio() for eq in script.equations for value in eq.numerals}
     violations = []
     unused = []
     for face, aliases in question_numbers(question):
-        if not (aliases & used):
+        if not any(alias.as_integer_ratio() in used for alias in aliases):
             unused.append(face)
             violations.append(
                 PrincipleViolation(

@@ -11,16 +11,19 @@ Strategy pipeline, cheapest first:
 3. isolating a univariate equation and branching over its roots: exact
    real-root isolation for a rational equation, cleared of denominators
    and poles, once inverse operations peel any other to a rational part.
+   Every root, the goal's own too, seeds the whole pipeline on the other
+   equations, so forward substitution checks it against each of them.
 
 All arithmetic is over `fractions.Fraction`; floats only appear for
-irrational roots, powers and logarithms, and any value derived from one
-stays tagged approximate.
+irrational roots, powers and logarithms, and any value derived from one is
+checked to a relative ROOT_DEDUPE_TOLERANCE and answered as a float.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -159,14 +162,20 @@ class SolveOutcome:
 
 def forward_substitute(
     system: EquationSystem,
+    bound: dict[str, Fraction] | None = None,
+    *,
+    approx: bool = False,
 ) -> tuple[dict[str, Fraction], EquationSystem]:
     """Bind variables from directly evaluable equations, to a fixpoint.
 
-    Whenever an equation has the shape `v = e` (or `e = v`) with `e` fully
-    evaluable under the current bindings, bind `v` and drop the equation.
-    Ground equations are checked and dropped; a contradiction raises
-    InconsistentBindingError.  Returns the bindings and the residual system
-    (remaining equations with bound variables substituted away).
+    The bindings start as `bound`.  Whenever an equation has the shape
+    `v = e` (or `e = v`) with `e` fully evaluable under the current
+    bindings, bind `v` and drop the equation.  Ground equations are checked
+    and dropped; a contradiction raises InconsistentBindingError.  With
+    `approx` the bindings are approximate, so a ground equation holds when
+    `|l - r| <= ROOT_DEDUPE_TOLERANCE * max(1, |l|, |r|)`.  Returns the
+    bindings, `bound` included, and the residual system (remaining equations
+    with bound variables substituted away).
 
     The result is that of sweeping the equations in order, round after
     round, until a round changes nothing, but only the visits that can
@@ -178,7 +187,8 @@ def forward_substitute(
     A side whose variables are all bound is evaluated under the bindings;
     only the residual is rewritten, one walk per side using a binding.
     """
-    bindings: dict[str, Fraction] = {}
+    bindings: dict[str, Fraction] = dict(bound or {})
+    slack = Fraction(ROOT_DEDUPE_TOLERANCE) if approx else 0
     # index -> (lhs, rhs, lhs names, rhs names), in index order
     pending: dict[int, tuple[Expr, Expr, frozenset[str], frozenset[str]]] = {}
     users: dict[str, list[int]] = {}  # name -> pending equations using it
@@ -192,7 +202,8 @@ def forward_substitute(
         if lhs_ready and rhs_ready:
             left_value = eval_exact(lhs, bindings)
             right_value = eval_exact(rhs, bindings)
-            if left_value != right_value:
+            gap = left_value != right_value and abs(left_value - right_value)
+            if gap and gap > slack * max(1, abs(left_value), abs(right_value)):
                 name = next((side.name for side in (lhs, rhs) if isinstance(side, Var)), None)
                 raise InconsistentBindingError(name, left_value, right_value)
             del pending[index]
@@ -222,10 +233,10 @@ def forward_substitute(
         visit(round_, index)
 
     def rewrite(side: Expr, free: frozenset[str]) -> tuple[Expr, frozenset[str]]:
-        bound = free & bindings.keys()
-        if not bound:
+        replaced = free & bindings.keys()
+        if not replaced:
             return side, free
-        return substitute(side, {name: Num(bindings[name]) for name in bound}), free - bound
+        return substitute(side, {name: Num(bindings[name]) for name in replaced}), free - replaced
 
     equations, names = [], []
     for lhs, rhs, free_lhs, free_rhs in pending.values():
@@ -468,6 +479,10 @@ def _format_value(value: Value) -> str:
     return format_rational(value) if isinstance(value, Fraction) else repr(value)
 
 
+def _render(bindings: Iterable[tuple[str, Fraction]]) -> str:
+    return ", ".join(f"{name} = {format_rational(value)}" for name, value in sorted(bindings))
+
+
 class _Budget:
     """Shared cap on root branches explored during recursion."""
 
@@ -491,8 +506,8 @@ def solve_system(system: EquationSystem) -> SolveOutcome:
         raise ValueError(f"goal '{system.goal}' is not an unknown")
     trace: list[str] = []
     candidates: list[Value] = []
-    for value, approx in _solve(system, trace, _Budget(MAX_BRANCHES)):
-        _merge_candidate(candidates, float(value) if approx else value)
+    for value in _solve(system, trace, _Budget(MAX_BRANCHES), {}):
+        _merge_candidate(candidates, value)
     if not candidates:
         raise UnsolvableError()
     return SolveOutcome(tuple(candidates), select_answer(candidates), tuple(trace))
@@ -502,37 +517,36 @@ def _solve(
     system: EquationSystem,
     trace: list[str],
     budget: _Budget,
+    bound: dict[str, Fraction],
     approx: bool = False,
-) -> list[tuple[Fraction, bool]]:
-    bindings, residual = forward_substitute(system)
-    if bindings:
-        bound = ", ".join(
-            f"{name} = {format_rational(value)}"
-            for name, value in sorted(bindings.items())
-        )
-        trace.append(f"substitution: {bound}")
-    if system.goal in bindings:
-        return [(bindings[system.goal], approx)]
-
-    first_error: SolverError | None = None
+) -> list[Value]:
+    """The goal's candidates given the `bound` values, which forward
+    substitution checks against every equation; under `approx` they are
+    approximate, and so is every candidate, a float.  The trace names the
+    bindings found, not those given."""
+    bindings, residual = forward_substitute(system, bound, approx=approx)
+    added = [(name, value) for name, value in bindings.items() if name not in bound]
+    if added:
+        trace.append(f"substitution: {_render(added)}")
+    if system.goal not in bindings:
+        first_error: SolverError | None = None
+        try:
+            bindings = solve_linear(residual)
+        except (NonLinearError, UnderdeterminedError) as err:
+            first_error = err if isinstance(err, SolverError) else None
+        else:
+            partial = " (goal pinned, system underdetermined)" if len(bindings) < len(residual.unknowns) else ""
+            trace.append(f"linear-elimination: {_render(bindings.items())}{partial}")
+        if system.goal not in bindings:
+            outcomes = _branch_univariate(residual, trace, budget, approx)
+            if outcomes is None:
+                raise UnsolvableError() from first_error
+            return outcomes
+    value = bindings[system.goal]
     try:
-        solution = solve_linear(residual)
-        solved = ", ".join(
-            f"{name} = {format_rational(value)}"
-            for name, value in sorted(solution.items())
-        )
-        partial = " (goal pinned, system underdetermined)" if len(solution) < len(
-            residual.unknowns
-        ) else ""
-        trace.append(f"linear-elimination: {solved}{partial}")
-        return [(solution[system.goal], approx)]
-    except (NonLinearError, UnderdeterminedError) as err:
-        first_error = err if isinstance(err, SolverError) else None
-
-    outcomes = _branch_univariate(residual, trace, budget, approx)
-    if outcomes is None:
-        raise UnsolvableError() from first_error
-    return outcomes
+        return [float(value) if approx else value]
+    except OverflowError as err:
+        raise NumericDivergenceError(str(err)) from err
 
 
 def _branch_univariate(
@@ -540,8 +554,10 @@ def _branch_univariate(
     trace: list[str],
     budget: _Budget,
     approx: bool,
-) -> list[tuple[Fraction, bool]] | None:
-    """Try each univariate residual equation; branch over the first that solves."""
+) -> list[Value] | None:
+    """Try each univariate residual equation; branch over the first that
+    solves.  Each root seeds a solve of the other equations, which checks it
+    against every one of them, the goal's own roots included."""
     last_error: SolverError | None = None
     univariate = [(i, *(left | right)) for i, (left, right) in enumerate(residual.names) if len(left | right) == 1]
     # The goal's own last, so that a goal root comes out of a whole branch solve.
@@ -553,38 +569,20 @@ def _branch_univariate(
             continue
         rendered = ", ".join(_format_value(r) for r in roots)
         trace.append(f"{method}: {var} in {{{rendered}}}")
-        rest = residual.equations[:index] + residual.equations[index + 1 :]
-        rest_names = residual.names[:index] + residual.names[index + 1 :]
-        reduced_names = tuple((left - {var}, right - {var}) for left, right in rest_names)
-        collected: list[tuple[Fraction, bool]] = []
+        rest = EquationSystem(
+            residual.equations[:index] + residual.equations[index + 1 :],
+            residual.unknowns,
+            residual.goal,
+            residual.names[:index] + residual.names[index + 1 :],
+        )
+        collected: list[Value] = []
         branch_error: Exception | None = None
         for root in roots:
             budget.spend()
-            root_is_float = isinstance(root, float)
-            root_value = Fraction(root) if root_is_float else root
-            root_approx = approx or root_is_float
-            replacement = {var: Num(root_value)}
-            reduced = EquationSystem(
-                tuple(
-                    (
-                        substitute(lhs, replacement) if var in left else lhs,
-                        substitute(rhs, replacement) if var in right else rhs,
-                    )
-                    for (lhs, rhs), (left, right) in zip(rest, rest_names)
-                ),
-                residual.unknowns - {var},
-                residual.goal,
-                reduced_names,
-            )
+            if var != residual.goal and len(roots) > 1:
+                trace.append(f"branch: {var} = {_format_value(root)}")
             try:
-                if var != residual.goal:
-                    if len(roots) > 1:
-                        trace.append(f"branch: {var} = {_format_value(root)}")
-                    collected.extend(_solve(reduced, trace, budget, root_approx))
-                    continue
-                if not root_approx:  # a rounded root would fail an exact check
-                    forward_substitute(reduced)  # raises if the root breaks an equation
-                collected.append((root_value, root_approx))
+                collected += _solve(rest, trace, budget, {var: Fraction(root)}, approx or isinstance(root, float))
             except (SolverError, ExprError) as err:
                 branch_error = err
         if collected:

@@ -107,13 +107,15 @@ def numeral(digits, leading_zeros, decimals):
 
 
 # Equations the solver isolates: a constant power with no exact value, a
-# logarithm of a number past the float range, one to a base near 1, and a
-# power past the degree bound.
+# logarithm of a number past the float range, one to a base near 1, a
+# power past the degree bound, and an irrational root scaled past the
+# float range.
 ISOLATION_PROBES = [
     "[[var a]] [[a + a = 2 ^ 2 ^ 10.1]] [[answer = a]]",
     "[[var x]] [[2 ^ x = 10 ^ 400]] [[answer = x]]",
     "[[var x]] [[1.0001 ^ x = 10 ^ 300]] [[answer = x]]",
     "[[var x]] [[x ^ 40 = 5]] [[answer = x]]",
+    "[[var x]] [[var y]] [[x * x = 2]] [[y = x * 10 ^ 400]] [[answer = y]]",
 ]
 
 adversarial_transcripts = st.one_of(
@@ -143,6 +145,7 @@ adversarial_transcripts = st.one_of(
 @example(ISOLATION_PROBES[1])
 @example(ISOLATION_PROBES[2])
 @example(ISOLATION_PROBES[3])
+@example(ISOLATION_PROBES[4])
 def test_adversarial_transcripts_become_records(variant, transcript):
     record_of(transcript, variant)
 

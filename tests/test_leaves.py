@@ -110,9 +110,9 @@ def test_derived_systems_carry_the_names_of_their_sides(transcript, monkeypatch)
     seen = []
     original = solver.forward_substitute
 
-    def recording(system):
+    def recording(system, *args, **kwargs):
         seen.append(system)
-        bindings, residual = original(system)
+        bindings, residual = original(system, *args, **kwargs)
         seen.append(residual)
         return bindings, residual
 

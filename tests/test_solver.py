@@ -77,6 +77,17 @@ def test_forward_substitution_checks_ground_equations():
     assert info.value.name == "a"
 
 
+def test_forward_substitution_starts_from_the_given_bindings():
+    system = system_of("[[var a]] [[var b]] [[b = a * a]] [[a * a = 2]] [[answer = b]]")
+    with pytest.raises(InconsistentBindingError):
+        forward_substitute(system, {"a": F(1.4142135623730951)})
+    bindings, residual = forward_substitute(system, {"a": F(1.4142135623730951)}, approx=True)
+    assert bindings == {"a": F(1.4142135623730951), "b": F(1.4142135623730951) ** 2}
+    assert residual.equations == () and residual.unknowns == frozenset()
+    with pytest.raises(InconsistentBindingError):  # off by far more than the tolerance
+        forward_substitute(system, {"a": F(1.4142)}, approx=True)
+
+
 def test_forward_substitution_leaves_simultaneous_equations():
     system = system_of("[[var x]] [[var y]] [[x + y = 12]] [[x - y = 4]] [[answer = x]]")
     bindings, residual = forward_substitute(system)
@@ -904,28 +915,128 @@ def test_solve_system_quadratic_branching_through_linear():
     assert any(step.startswith("branch:") for step in outcome.trace)
 
 
+SQRT2 = math.sqrt(2)
+
+
 def test_goal_roots_are_checked_against_the_other_equations():
-    """A root of the goal's own equation that forward substitution finds
-    breaking another equation is dropped; the trace is unchanged."""
+    """A root of the goal's own equation that breaks another equation is
+    dropped, in either equation order; a rounded root passes a check its
+    sides agree on to ROOT_DEDUPE_TOLERANCE.  The trace is unchanged."""
     cases = [
-        (["x ^ 2 = 9", "2 * x = -6"], (F(-3),)),
-        (["2 * x = -6", "x ^ 2 = 9"], (F(-3),)),
-        (["x ^ 2 = 9", "x ^ 2 = 4"], InconsistentBindingError),
-        (["x ^ 2 = 4", "x ^ 2 = 9"], InconsistentBindingError),
-        (["y ^ 2 = 4", "x ^ 2 = 9", "x + y = 5"], (F(3),)),
-        (["x + y = 5", "y ^ 2 = 4", "x ^ 2 = 9"], (F(3),)),
-        (["x + y = 5", "x ^ 2 = 9", "y ^ 2 = 4"], (F(3),)),
+        ("x", ["x ^ 2 = 9", "2 * x = -6"], (F(-3),)),
+        ("x", ["x ^ 2 = 9", "x ^ 2 = 4"], InconsistentBindingError),
+        ("x", ["y ^ 2 = 4", "x ^ 2 = 9", "x + y = 5"], (F(3),)),
+        ("x", ["x + y = 5", "y ^ 2 = 4", "x ^ 2 = 9"], (F(3),)),
+        ("x", ["x + y = 5", "x ^ 2 = 9", "y ^ 2 = 4"], (F(3),)),
+        ("x", ["x ^ 2 = 2", "x ^ 3 = 5"], InconsistentBindingError),
+        ("x", ["x ^ 2 = 2", "x ^ 2 = 3"], InconsistentBindingError),
+        ("x", ["x ^ 2 = 2", "y = x ^ 2", "y = 3"], InconsistentBindingError),
+        ("x", ["x ^ 2 = 2", "x * x = 2"], (-SQRT2, SQRT2)),
+        ("y", ["x ^ 2 = 2", "x * x = 2", "y = x + 1"], (1 - SQRT2, 1 + SQRT2)),
     ]
-    for equations, expected in cases:
-        text = "[[var x]] [[var y]] " + " ".join(f"[[{e}]]" for e in equations) + " [[answer = x]]"
-        script = script_from_transcript(text)
-        if isinstance(expected, type):
-            with pytest.raises(expected):
-                solve_script(script)
-        else:
-            assert solve_script(script).candidates == expected, equations
+    for goal, equations, expected in cases:
+        for order in (equations, equations[::-1]):
+            text = "[[var x]] [[var y]] " + " ".join(f"[[{e}]]" for e in order) + f" [[answer = {goal}]]"
+            script = script_from_transcript(text)
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    solve_script(script)
+                continue
+            candidates = solve_script(script).candidates
+            assert [type(c) for c in candidates] == [type(e) for e in expected], order
+            assert candidates == pytest.approx(expected, rel=1e-12), order
     outcome = solve_script(script_from_transcript("[[var x]] [[x ^ 2 = 9]] [[2 * x = -6]] [[answer = x]]"))
     assert outcome.trace == ("quadratic: x in {-3, 3}",)
+
+
+_small_fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 3))
+
+
+@st.composite
+def _known_root_systems(draw):
+    """(equations, goal, links) of a quadratic in x whose roots are chosen,
+    rational or irrational, with links `v = p * u + q` from x or an earlier
+    link, and maybe a scaled restatement or a contradicting equation.
+    `links` maps each link name to (u, p, q)."""
+    a = draw(st.sampled_from([1, 2, 3, -2]))
+    if draw(st.booleans()):  # a * (x - s) ^ 2 = a * k: x = s -+ sqrt(k)
+        s, k = draw(_small_fractions), draw(st.sampled_from([2, 3, 5, 7, 10]))
+        b, c = -2 * s, s * s - k
+    else:
+        r1, r2 = draw(_small_fractions), draw(_small_fractions)
+        b, c = -(r1 + r2), r1 * r2
+    square = draw(st.sampled_from(["x ^ 2", "x * x"]))
+
+    def quadratic(scale, shift=0):
+        return f"{a * scale} * {square} + {_fraction_text(a * b * scale)} * x = {_fraction_text(shift - a * c * scale)}"
+
+    equations = [quadratic(1)]
+    links = {}
+    for name in draw(st.sampled_from([[], ["y"], ["y", "z"]])):
+        u = draw(st.sampled_from(["x", *links]))
+        p, q = draw(_small_fractions.filter(bool)), draw(_small_fractions)
+        links[name] = (u, p, q)
+        equations.append(f"{name} = {_fraction_text(p)} * {u} + {_fraction_text(q)}")
+    extra = draw(st.sampled_from(["none", "restate", "contradict"]))
+    m = draw(st.integers(2, 5))
+    target = draw(st.sampled_from(["x", *links]))
+    if target == "x" and extra != "none":
+        equations.append(quadratic(m, shift=0 if extra == "restate" else draw(_small_fractions.filter(bool))))
+    elif extra != "none":
+        u, p, q = links[target]
+        q += 0 if extra == "restate" else draw(_small_fractions.filter(bool))
+        equations.append(f"{m} * {target} = {_fraction_text(m * p)} * {u} + {_fraction_text(m * q)}")
+    return draw(st.permutations(equations)), draw(st.sampled_from(["x", *links])), links
+
+
+@settings(max_examples=40, deadline=None)
+@given(_known_root_systems())
+def test_systems_agree_with_sympy_and_every_candidate_checks_out(case):
+    """The candidate set of each system built from known roots against
+    SymPy's `solve`: rational candidates as equal Fractions, irrational ones
+    as floats within ROOT_DEDUPE_TOLERANCE (relative), none as a
+    SolverError.  And every candidate, with the values of the other unknowns
+    it implies through the links, satisfies every original equation: exactly
+    if exact, to the same tolerance if not."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import parse_expr
+
+    equations, goal, links = case
+    names = ["x", *links]
+    text = " ".join(f"[[var {n}]]" for n in names) + " " + " ".join(f"[[{e}]]" for e in equations)
+    script = script_from_transcript(f"{text} [[answer = {goal}]]")
+    symbols = sympy.symbols(names)
+    sides = [[parse_expr(side.replace("^", "**")) for side in e.split("=")] for e in equations]
+    solutions = sympy.solve([sympy.Eq(*pair) for pair in sides], symbols, dict=True)
+    real = {solution[symbols[names.index(goal)]] for solution in solutions}
+    real = [value for value in real if value.is_real]
+    expected = sorted(F(int(v.p), int(v.q)) if v.is_Rational else float(v.evalf(50)) for v in real)
+    if not expected:
+        with pytest.raises(SolverError):
+            solve_script(script)
+        return
+    got = sorted(solve_script(script).candidates)
+    assert [type(v) for v in got] == [type(v) for v in expected], (equations, goal, got, expected)
+    for value, want in zip(got, expected):
+        if isinstance(want, F):
+            assert value == want, (equations, goal, got, expected)
+        else:
+            assert abs(value - want) <= solver.ROOT_DEDUPE_TOLERANCE * max(1, abs(want)), (equations, got, expected)
+
+    for value in got:
+        values = {goal: F(value)}
+        while "x" not in values:  # back along the links to x
+            name = next(n for n in values if n in links)
+            u, p, q = links[name]
+            values = {u: (values[name] - q) / p}
+        for name, (u, p, q) in links.items():  # forward to every link
+            values[name] = p * values[u] + q
+        for eq in script.equations:
+            left, right = eval_exact(eq.lhs, values), eval_exact(eq.rhs, values)
+            if isinstance(value, F):
+                assert left == right, (equations, goal, value)
+            else:
+                assert abs(left - right) <= solver.ROOT_DEDUPE_TOLERANCE * max(1, abs(left), abs(right))
 
 
 def test_a_branch_that_raises_fails_alone():
