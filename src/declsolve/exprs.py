@@ -252,7 +252,9 @@ def fold(nodes: Sequence[Expr], leaf: Callable[[Expr], Any], operations: Mapping
     return values[-1]
 
 
-def eval_exact(expr: Expr, bindings: Mapping[str, RationalLike] | None = None) -> Fraction:
+def eval_exact(
+    expr: Expr, bindings: Mapping[str, RationalLike] | None = None, *, approx: bool = False
+) -> Fraction:
     """Evaluate `expr` to an exact rational under `bindings`.
 
     Raises UnboundVariableError for a free variable without a binding,
@@ -260,7 +262,8 @@ def eval_exact(expr: Expr, bindings: Mapping[str, RationalLike] | None = None) -
     power), NonIntegerExponentError when a Pow exponent is not an integer
     and the power is not an exact rational, and ExponentTooLargeError for a
     power, product or quotient over the size bounds.  Where several nodes
-    would fail, the first in `postorder` raises.
+    would fail, the first in `postorder` raises.  With `approx` the
+    bindings are rounded values, and powers go through `rounded_power`.
     """
     bindings = bindings or {}
 
@@ -272,7 +275,7 @@ def eval_exact(expr: Expr, bindings: Mapping[str, RationalLike] | None = None) -
         value = bindings[node.name]
         return value if type(value) is Fraction else Fraction(value)
 
-    return fold(postorder(expr), leaf, _EXACT_OPERATIONS)
+    return fold(postorder(expr), leaf, _ROUNDED_OPERATIONS if approx else _EXACT_OPERATIONS)
 
 
 def _exact_quotient(left: Fraction, right: Fraction) -> Fraction:
@@ -311,6 +314,26 @@ def exact_power(base: Fraction, power: Fraction | int) -> Fraction:
     if base == 0 and power < 0:
         raise DivisionByZeroError("zero raised to a negative power")
     return base**power
+
+
+def rounded_power(base: Fraction, power: Fraction) -> Fraction:
+    """`exact_power`, except that a fractional power of a positive base
+    that has no exact value, or whose exponent is a rounded one, is rounded
+    to a float, as a power of a rounded value may be."""
+    try:
+        return exact_power(base, power)
+    except (NonIntegerExponentError, ExponentTooLargeError):
+        if power.denominator == 1 or base <= 0:
+            raise
+    try:
+        return Fraction(math.exp(float(power) * rational_log(base)))
+    except OverflowError as err:
+        raise ExponentTooLargeError(power) from err
+
+
+def rational_log(value: Fraction) -> float:
+    """The natural logarithm of `value` > 0, of any size."""
+    return math.log(value.numerator) - math.log(value.denominator)
 
 
 def exact_root(value: Fraction, degree: int) -> Fraction | None:
@@ -625,6 +648,8 @@ _EXACT_OPERATIONS = {
     Div: _exact_quotient,
     Pow: exact_power,
 }
+
+_ROUNDED_OPERATIONS = _EXACT_OPERATIONS | {Pow: rounded_power}
 
 _REBUILD = {kind: kind for kind in _EXACT_OPERATIONS}
 

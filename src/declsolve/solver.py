@@ -12,11 +12,12 @@ Strategy pipeline, cheapest first:
    real-root isolation for a rational equation, cleared of denominators
    and poles, once inverse operations peel any other to a rational part.
    Every root, the goal's own too, seeds the whole pipeline on the other
-   equations, so forward substitution checks it against each of them.
+   equations, which must hold too, also once the goal is bound.
 
 All arithmetic is over `fractions.Fraction`; floats only appear for
-irrational roots, powers and logarithms, and any value derived from one is
-checked to a relative ROOT_DEDUPE_TOLERANCE and answered as a float.
+irrational roots, powers and logarithms.  Any value derived from one is
+answered as a float, and forward substitution checks a ground equation it
+holds to a relative ROOT_DEDUPE_TOLERANCE; elimination stays exact.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .exprs import (
     free_vars,
     linear_form,
     rational,
+    rational_log,
     substitute,
 )
 from .parsing import SolutionScript, VarDecl
@@ -200,8 +202,8 @@ def forward_substitute(
         lhs_ready = free_lhs <= bindings.keys()
         rhs_ready = free_rhs <= bindings.keys()
         if lhs_ready and rhs_ready:
-            left_value = eval_exact(lhs, bindings)
-            right_value = eval_exact(rhs, bindings)
+            left_value = eval_exact(lhs, bindings, approx=approx)
+            right_value = eval_exact(rhs, bindings, approx=approx)
             gap = left_value != right_value and abs(left_value - right_value)
             if gap and gap > slack * max(1, abs(left_value), abs(right_value)):
                 name = next((side.name for side in (lhs, rhs) if isinstance(side, Var)), None)
@@ -209,9 +211,9 @@ def forward_substitute(
             del pending[index]
             return
         if isinstance(lhs, Var) and rhs_ready:
-            name, value = lhs.name, eval_exact(rhs, bindings)
+            name, value = lhs.name, eval_exact(rhs, bindings, approx=approx)
         elif isinstance(rhs, Var) and lhs_ready:
-            name, value = rhs.name, eval_exact(lhs, bindings)
+            name, value = rhs.name, eval_exact(lhs, bindings, approx=approx)
         else:
             return
         del pending[index]
@@ -257,7 +259,8 @@ def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
     stay integers the size of minors of the scaled matrix.  Returns the full
     solution for a full-rank system.  For a rank-deficient system whose
     reduced form still pins individual variables, returns the pinned subset
-    provided the goal is in it; otherwise raises UnderdeterminedError.
+    provided the goal is in it or already bound (not an unknown); otherwise
+    raises UnderdeterminedError.
     Raises InconsistentError on a `0 = nonzero` row and NonLinearError if
     any equation is not linear.  The pinned values and the errors depend
     only on the row space, not on the pivots chosen.
@@ -304,9 +307,7 @@ def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
         if all(rows[r][c] == 0 for c in range(width) if c != col):
             pinned[variables[col]] = Fraction(rows[r][width], rows[r][col])
 
-    if len(pinned) == len(variables):
-        return pinned
-    if system.goal in pinned:
+    if system.goal in pinned or system.goal not in column:
         return pinned
     raise UnderdeterminedError()
 
@@ -395,7 +396,7 @@ def _inverse(kind: type, on_left: bool, value: Fraction, c: Fraction, approx: bo
                 raise UnsolvableError(f"a power of {format_rational(c)} has the unknown in its exponent")
             if value <= 0:
                 return []
-            power = _log(value) / _log(c)
+            power = rational_log(value) / rational_log(c)
             guess = Fraction(power).limit_denominator(MAX_EXPONENT)
             with suppress(ExprError):
                 if not approx and exact_power(c, guess) == value:
@@ -407,14 +408,10 @@ def _inverse(kind: type, on_left: bool, value: Fraction, c: Fraction, approx: bo
         try:
             root = exact_power(abs(value), 1 / c)
         except NonIntegerExponentError:
-            root, approx = Fraction(math.exp(_log(abs(value)) / c)), True
+            root, approx = Fraction(math.exp(rational_log(abs(value)) / c)), True
         return [(sign * root, approx) for sign in ((-1, 1) if even and root else (-1 if value < 0 else 1,))]
     except ZeroDivisionError:  # no real operand gives `value`
         return []
-
-
-def _log(value: Fraction) -> float:
-    return math.log(value.numerator) - math.log(value.denominator)  # of any size
 
 
 def solve_univariate(equation: Equation, var: str) -> list[Value]:
@@ -520,28 +517,32 @@ def _solve(
     bound: dict[str, Fraction],
     approx: bool = False,
 ) -> list[Value]:
-    """The goal's candidates given the `bound` values, which forward
-    substitution checks against every equation; under `approx` they are
-    approximate, and so is every candidate, a float.  The trace names the
-    bindings found, not those given."""
+    """The goal's candidates given the `bound` values.  Forward substitution
+    checks every equation it makes ground: exactly, or under `approx` (when
+    the values are rounded, and every candidate is a float) to a relative
+    ROOT_DEDUPE_TOLERANCE.  The rest are solved on; once the goal is bound
+    they need only be consistent, not pin every unknown.  The trace names
+    the bindings found, not those given."""
     bindings, residual = forward_substitute(system, bound, approx=approx)
     added = [(name, value) for name, value in bindings.items() if name not in bound]
     if added:
         trace.append(f"substitution: {_render(added)}")
-    if system.goal not in bindings:
-        first_error: SolverError | None = None
+    known = {system.goal: bindings[system.goal]} if system.goal in bindings else {}
+    if residual.equations or not known:
         try:
-            bindings = solve_linear(residual)
+            pinned = solve_linear(residual)
         except (NonLinearError, UnderdeterminedError) as err:
-            first_error = err if isinstance(err, SolverError) else None
-        else:
-            partial = " (goal pinned, system underdetermined)" if len(bindings) < len(residual.unknowns) else ""
-            trace.append(f"linear-elimination: {_render(bindings.items())}{partial}")
-        if system.goal not in bindings:
-            outcomes = _branch_univariate(residual, trace, budget, approx)
-            if outcomes is None:
+            pinned, first_error = None, err if isinstance(err, SolverError) else None
+        if pinned is None:
+            outcomes = _branch_univariate(residual, trace, budget, approx, known)
+            if outcomes is not None:
+                return outcomes
+            if not known:
                 raise UnsolvableError() from first_error
-            return outcomes
+        elif not known:  # else the rest is only checked
+            partial = " (goal pinned, system underdetermined)" if len(pinned) < len(residual.unknowns) else ""
+            trace.append(f"linear-elimination: {_render(pinned.items())}{partial}")
+            bindings = pinned
     value = bindings[system.goal]
     try:
         return [float(value) if approx else value]
@@ -554,14 +555,14 @@ def _branch_univariate(
     trace: list[str],
     budget: _Budget,
     approx: bool,
+    known: dict[str, Fraction],
 ) -> list[Value] | None:
     """Try each univariate residual equation; branch over the first that
-    solves.  Each root seeds a solve of the other equations, which checks it
-    against every one of them, the goal's own roots included."""
+    solves.  Each root, the goal's own too, seeds a solve of the other
+    equations, with the `known` goal value if the goal is bound."""
     last_error: SolverError | None = None
     univariate = [(i, *(left | right)) for i, (left, right) in enumerate(residual.names) if len(left | right) == 1]
-    # The goal's own last, so that a goal root comes out of a whole branch solve.
-    for index, var in sorted(univariate, key=lambda item: item[1] == residual.goal):
+    for index, var in univariate:
         try:
             roots, method = _solve_univariate(residual.equations[index], var)
         except SolverError as err:
@@ -582,7 +583,7 @@ def _branch_univariate(
             if var != residual.goal and len(roots) > 1:
                 trace.append(f"branch: {var} = {_format_value(root)}")
             try:
-                collected += _solve(rest, trace, budget, {var: Fraction(root)}, approx or isinstance(root, float))
+                collected += _solve(rest, trace, budget, known | {var: Fraction(root)}, approx or isinstance(root, float))
             except (SolverError, ExprError) as err:
                 branch_error = err
         if collected:

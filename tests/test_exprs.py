@@ -100,6 +100,23 @@ def test_eval_exact_basics():
     assert eval_exact(Pow(Num(3**40), Num(Fraction(1, 20)))) == 9
 
 
+def test_eval_exact_rounds_only_the_powers_it_cannot_take_exactly_under_approx():
+    """With rounded bindings, a positive base's fractional power that has no
+    exact value is rounded; an exact one, and every refusal for an integer
+    exponent or a negative base, stays as without `approx`."""
+    x = Fraction(3.3219280948873626)  # a rounded log2(10)
+    assert float(eval_exact(Pow(Num(2), Var("x")), {"x": x}, approx=True)) == pytest.approx(10, rel=1e-15)
+    assert float(eval_exact(Pow(Num(2), Num(Fraction(1, 2))), approx=True)) == pytest.approx(2**0.5, rel=1e-15)
+    assert eval_exact(Pow(Num(16), Num(Fraction(1, 2))), approx=True) == 4
+    for power, error in ((Pow(Num(-4), Num(Fraction(1, 2))), NonIntegerExponentError),
+                         (Pow(Num(2), Num(100_000)), ExponentTooLargeError),
+                         (Pow(Num(10), Num(Fraction(10**6 + 1, 3))), ExponentTooLargeError)):
+        with pytest.raises(error):
+            eval_exact(power, approx=True)
+    with pytest.raises(ExponentTooLargeError):
+        eval_exact(Pow(Num(2), Var("x")), {"x": x})
+
+
 def test_eval_exact_errors():
     with pytest.raises(UnboundVariableError):
         eval_exact(Var("x"))
