@@ -38,6 +38,7 @@ from .prompts import (
     DecodingParams,
     spec_for_variant,
 )
+from .solver import format_value
 
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/completions"
 DEFAULT_MODEL = "gpt-3.5-turbo-instruct"
@@ -101,19 +102,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print("trace:")
             for step in record.outcome.trace:
                 print(f"  {step}")
-            rendered = ", ".join(
-                format_rational(c) if isinstance(c, Fraction) else repr(c)
-                for c in record.outcome.candidates
-            )
-            print(f"candidates: {rendered}")
+            print(f"candidates: {', '.join(map(format_value, record.outcome.candidates))}")
         if record.principle_warnings:
             print(f"principle warnings: {record.principle_warnings}")
     if record.predicted is None:
         detail = f": {record.detail}" if record.detail else ""
         print(f"failed ({record.verdict}){detail}", file=sys.stderr)
         return 1
-    value = record.predicted
-    print(format_rational(value) if isinstance(value, Fraction) else repr(value))
+    print(format_value(record.predicted))
     return 0
 
 

@@ -244,28 +244,6 @@ def extract_final_number(transcript: str) -> Fraction | None:
     return None
 
 
-def _one_step_script(transcript: str) -> SolutionScript:
-    """Synthesize a script from a lone bracketed equation.
-
-    The single-equation convention: one declaration of the form
-    ``name = expression``; the left-hand variable is the implicit goal.
-    """
-    brackets = extract_brackets(transcript)
-    declarations = [parse_declaration(raw, span) for raw, span in brackets]
-    equations = [d for d in declarations if isinstance(d, EqDecl)]
-    if len(equations) != 1 or not isinstance(equations[0].lhs, Var):
-        raise ScriptError(
-            "expected exactly one equation with a variable on the left"
-        )
-    equation = equations[0]
-    goal = equation.lhs.name
-    names = [goal] + sorted(set(equation.rhs_names) - {goal})
-    synthesized: list[VarDecl | EqDecl | GoalDecl] = [VarDecl(n) for n in names]
-    synthesized.append(equation)
-    synthesized.append(GoalDecl(goal))
-    return SolutionScript(tuple(synthesized), goal)
-
-
 # --------------------------------------------------------------------------
 # The per-problem pipeline
 
@@ -277,7 +255,15 @@ def run_problem(
     *,
     transport: Transport | None = None,
 ) -> EvalRecord:
-    """Run one problem end to end and classify the result."""
+    """Run one problem end to end and classify the result.
+
+    A `ClientError` from the completion is a ClientFailure; anything else
+    `complete` raises (a malformed cassette, a faulty transport) propagates
+    and aborts the run.  Every error after the completion is a verdict: a
+    parse error a ParseFailure, a script error a ScriptInvalid, a failed
+    solve or a missing final number a SolverFailure that keeps the script
+    and its warnings, and any other error a SolverFailure without them.
+    """
     prompt = assemble_prompt(spec, problem.question)
     request = CompletionRequest(config.model, prompt, config.params, config.stop_sequences)
     try:
@@ -286,75 +272,74 @@ def run_problem(
         return EvalRecord(
             problem.id, None, None, None, None, CLIENT_FAILURE, False, 0, str(err)
         )
+    script, warnings = None, 0
     try:
-        return _judge(problem, spec, transcript)
+        script = _script(spec, transcript)
+        warnings = len(check_principles(script, problem.question).warnings)
+        outcome, predicted = _answer(spec, script, transcript)
+        correct = score(predicted, problem.gold_answer)
+        any_correct = correct if outcome is None else any(
+            score(c, problem.gold_answer) for c in outcome.candidates
+        )
+    except _Failure as failure:
+        verdict, detail = failure.args
     except Exception as err:
-        # The last resort behind the typed handlers in _judge: whatever else
-        # a completion makes the parser, the rule check or the solver raise
+        # The last resort behind the typed failures: whatever else a
+        # completion makes the parser, the rule check or the solver raise
         # (RecursionError on a deep tree, say) is a verdict, not an abort.
         _log.debug("problem %s: unexpected error", problem.id, exc_info=True)
+        script, warnings = None, 0
+        verdict, detail = SOLVER_FAILURE, f"{type(err).__name__}: {err}"
+    else:
         return EvalRecord(
-            problem.id, transcript, None, None, None,
-            SOLVER_FAILURE, False, 0, f"{type(err).__name__}: {err}",
+            problem.id, transcript, script, outcome, predicted,
+            CORRECT if correct else WRONG_ANSWER, any_correct, warnings,
         )
+    return EvalRecord(problem.id, transcript, script, None, None, verdict, False, warnings, detail)
 
 
-def _judge(problem: Problem, spec: PromptSpec, transcript: str) -> EvalRecord:
-    """Parse, check and solve one completion, and score the answer."""
+class _Failure(Exception):
+    """A stage's typed failure; its args are the record's verdict and detail."""
+
+
+def _script(spec: PromptSpec, transcript: str) -> SolutionScript:
+    """The completion's script.  Where that fails, the one-step variant
+    takes the single-equation convention: one declaration of the form
+    ``name = expression``, whose left-hand variable is the implicit goal.
+    Fails as a ParseFailure or a ScriptInvalid."""
     try:
-        script = script_from_transcript(transcript)
-    except ScriptError as err:
-        if spec.variant == VARIANT_ONE_STEP:
-            try:
-                script = _one_step_script(transcript)
-            except (ParseError, ScriptError, ExprError) as inner:
-                return EvalRecord(
-                    problem.id, transcript, None, None, None,
-                    SCRIPT_INVALID, False, 0, str(inner),
-                )
-        else:
-            return EvalRecord(
-                problem.id, transcript, None, None, None,
-                SCRIPT_INVALID, False, 0, str(err),
-            )
+        return script_from_transcript(transcript)
     except ParseError as err:
-        return EvalRecord(
-            problem.id, transcript, None, None, None, PARSE_FAILURE, False, 0, str(err)
-        )
+        raise _Failure(PARSE_FAILURE, str(err))
+    except ScriptError as err:
+        if spec.variant != VARIANT_ONE_STEP:
+            raise _Failure(SCRIPT_INVALID, str(err))
+    # script_from_transcript got past parsing every bracket, so this parses.
+    declarations = [parse_declaration(raw, span) for raw, span in extract_brackets(transcript)]
+    equations = [d for d in declarations if isinstance(d, EqDecl)]
+    if len(equations) != 1 or not isinstance(equations[0].lhs, Var):
+        raise _Failure(SCRIPT_INVALID, "expected exactly one equation with a variable on the left")
+    equation = equations[0]
+    goal = equation.lhs.name
+    names = [goal] + sorted(set(equation.rhs_names) - {goal})
+    return SolutionScript((*map(VarDecl, names), equation, GoalDecl(goal)), goal)
 
-    warnings = len(check_principles(script, problem.question).warnings)
 
-    if spec.variant == VARIANT_LLM_SOLVES:
-        try:
-            predicted = extract_final_number(transcript)
-            detail = "no final number in transcript"
-        except ValueError as err:
-            predicted, detail = None, str(err)
-        if predicted is None:
-            return EvalRecord(
-                problem.id, transcript, script, None, None,
-                SOLVER_FAILURE, False, warnings, detail,
-            )
-        correct = score(predicted, problem.gold_answer)
-        return EvalRecord(
-            problem.id, transcript, script, None, predicted,
-            CORRECT if correct else WRONG_ANSWER, correct, warnings,
-        )
-
+def _answer(
+    spec: PromptSpec, script: SolutionScript, transcript: str
+) -> tuple[SolveOutcome | None, Value]:
+    """The solver's outcome and selected answer, or, where the model solves,
+    no outcome and the transcript's final number.  Fails as a SolverFailure."""
     try:
-        outcome = solve_system(EquationSystem.from_script(script))
+        if spec.variant != VARIANT_LLM_SOLVES:
+            outcome = solve_system(EquationSystem.from_script(script))
+            return outcome, outcome.selected
+        predicted = extract_final_number(transcript)
     except (SolverError, ExprError, ValueError) as err:
-        return EvalRecord(
-            problem.id, transcript, script, None, None,
-            SOLVER_FAILURE, False, warnings, str(err),
-        )
-    predicted = outcome.selected
-    correct = score(predicted, problem.gold_answer)
-    any_correct = any(score(c, problem.gold_answer) for c in outcome.candidates)
-    return EvalRecord(
-        problem.id, transcript, script, outcome, predicted,
-        CORRECT if correct else WRONG_ANSWER, any_correct, warnings,
-    )
+        raise _Failure(SOLVER_FAILURE, str(err))
+    if predicted is None:
+        raise _Failure(SOLVER_FAILURE, "no final number in transcript")
+    return None, predicted
 
 
 # --------------------------------------------------------------------------

@@ -70,6 +70,10 @@ class ExprSyntaxError(ParseError):
         self.expected = expected
         self.found = found
 
+    @property
+    def span(self) -> Span:
+        return (self.position, self.position + 1)
+
 
 class MultipleEqualsError(ParseError):
     def __init__(self, raw: str):
@@ -547,15 +551,9 @@ def check_transcript(text: str, question: str = "") -> TranscriptCheck:
     """
     try:
         script = script_from_transcript(text)
-    except ScriptError as err:
-        violation = PrincipleViolation(err.principle, str(err), err.span)
-        return TranscriptCheck(None, PrincipleReport((violation,)))
-    except ExprSyntaxError as err:
-        violation = PrincipleViolation(1, str(err), (err.position, err.position + 1))
-        return TranscriptCheck(None, PrincipleReport((violation,)))
-    except ParseError as err:
-        span = getattr(err, "span", None)
-        violation = PrincipleViolation(1, str(err), span)
+    except (ScriptError, ParseError) as err:
+        principle = getattr(err, "principle", 1)
+        violation = PrincipleViolation(principle, str(err), getattr(err, "span", None))
         return TranscriptCheck(None, PrincipleReport((violation,)))
     report = check_principles(script, question) if question else PrincipleReport()
     return TranscriptCheck(script, report)

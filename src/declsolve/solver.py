@@ -74,11 +74,9 @@ class SolverError(Exception):
 
 
 class InconsistentBindingError(SolverError):
-    def __init__(self, name: str | None, old: Fraction, new: Fraction):
+    def __init__(self, name: str | None, old: Value, new: Value):
         target = f"'{name}'" if name else "equation"
-        super().__init__(
-            f"{target} requires {format_rational(new)} but {format_rational(old)} already holds"
-        )
+        super().__init__(f"{target} requires {format_value(new)} but {format_value(old)} already holds")
         self.name = name
         self.old = old
         self.new = new
@@ -207,6 +205,8 @@ def forward_substitute(
             gap = left_value != right_value and abs(left_value - right_value)
             if gap and gap > slack * max(1, abs(left_value), abs(right_value)):
                 name = next((side.name for side in (lhs, rhs) if isinstance(side, Var)), None)
+                if approx:
+                    left_value, right_value = _rounded(left_value), _rounded(right_value)
                 raise InconsistentBindingError(name, left_value, right_value)
             del pending[index]
             return
@@ -472,8 +472,17 @@ def _merge_candidate(collected: list[Value], value: Value) -> None:
     collected.append(value)
 
 
-def _format_value(value: Value) -> str:
+def format_value(value: Value) -> str:
+    """An exact value as `format_rational` gives it, a float by its repr."""
     return format_rational(value) if isinstance(value, Fraction) else repr(value)
+
+
+def _rounded(value: Fraction) -> Value:
+    """An approximate value as a float, or exact past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return value
 
 
 def _render(bindings: Iterable[tuple[str, Fraction]]) -> str:
@@ -505,8 +514,6 @@ def solve_system(system: EquationSystem) -> SolveOutcome:
     candidates: list[Value] = []
     for value in _solve(system, trace, _Budget(MAX_BRANCHES), {}):
         _merge_candidate(candidates, value)
-    if not candidates:
-        raise UnsolvableError()
     return SolveOutcome(tuple(candidates), select_answer(candidates), tuple(trace))
 
 
@@ -522,7 +529,8 @@ def _solve(
     the values are rounded, and every candidate is a float) to a relative
     ROOT_DEDUPE_TOLERANCE.  The rest are solved on; once the goal is bound
     they need only be consistent, not pin every unknown.  The trace names
-    the bindings found, not those given."""
+    the bindings found, not those given.  The list is never empty: where
+    no candidate survives, this raises."""
     bindings, residual = forward_substitute(system, bound, approx=approx)
     added = [(name, value) for name, value in bindings.items() if name not in bound]
     if added:
@@ -568,7 +576,7 @@ def _branch_univariate(
         except SolverError as err:
             last_error = err
             continue
-        rendered = ", ".join(_format_value(r) for r in roots)
+        rendered = ", ".join(format_value(r) for r in roots)
         trace.append(f"{method}: {var} in {{{rendered}}}")
         rest = EquationSystem(
             residual.equations[:index] + residual.equations[index + 1 :],
@@ -581,16 +589,14 @@ def _branch_univariate(
         for root in roots:
             budget.spend()
             if var != residual.goal and len(roots) > 1:
-                trace.append(f"branch: {var} = {_format_value(root)}")
+                trace.append(f"branch: {var} = {format_value(root)}")
             try:
                 collected += _solve(rest, trace, budget, known | {var: Fraction(root)}, approx or isinstance(root, float))
             except (SolverError, ExprError) as err:
                 branch_error = err
         if collected:
             return collected
-        if branch_error is not None:
-            raise branch_error
-        last_error = last_error or NoRealRootError()
+        raise branch_error  # roots is never empty, so each root's _solve raised
     if last_error is not None:
         raise last_error
     return None

@@ -196,12 +196,15 @@ def test_run_problem_script_invalid(tmp_path):
 
 
 def test_run_problem_solver_failure(tmp_path):
-    problem = Problem("p1", "Q?", F(1))
+    problem = Problem("p1", "Q with 7?", F(1))
     underdetermined = "[[var x]] [[var y]] [[x + y = 10]] [[answer = x]]"
     mode = cassette_for(tmp_path, SPEC, [(problem.question, underdetermined)])
     record = run_problem(problem, SPEC, CONFIG, mode)
     assert record.verdict == SOLVER_FAILURE
     assert record.detail
+    # A failed solve keeps the script and its rule-5 warning (the 7 is unused).
+    assert record.script is not None and record.outcome is None and record.predicted is None
+    assert record.principle_warnings == 1
 
 
 @pytest.mark.parametrize(
@@ -215,10 +218,10 @@ def test_run_problem_solver_failure(tmp_path):
     ids=["fractional-power", "negative-base", "huge-power-30", "huge-power-9999"],
 )
 def test_run_problem_bounds_complex_and_huge_powers(tmp_path, transcript, verdict):
-    """A negative base to a fractional power is no value on the float grid,
-    and an exact power too large to compute or print is a solver failure;
-    neither aborts the run nor takes long.  A fractional power with a
-    rational root is exact, so `x ^ 0.5 = 3` snaps to 9."""
+    """A negative base to a fractional power has no real value, and an
+    exact power too large to compute or print is a solver failure; neither
+    aborts the run nor takes long.  Inverting a fractional power with a
+    rational result is exact, so `x ^ 0.5 = 3` gives the Fraction 9."""
     problem = Problem("p1", "Q?", F(9))
     mode = cassette_for(tmp_path, SPEC, [(problem.question, transcript)])
     start = time.perf_counter()
@@ -358,12 +361,14 @@ def test_run_problem_nesting_at_the_limit_is_solved(tmp_path, body):
 
 
 def test_run_eval_turns_any_error_after_the_completion_into_a_verdict(tmp_path, monkeypatch):
-    problems = [Problem(name, f"{name}?", F(2)) for name in DEPTH_PROBES]
+    # No transcript uses the question's 7, so every parsed script has a warning.
+    problems = [Problem(name, f"{name} with 7?", F(2)) for name in DEPTH_PROBES]
     mode = cassette_for(tmp_path, SPEC, [(p.question, DEPTH_PROBES[p.id][0]) for p in problems])
     report = run_eval(problems, SPEC, mode, CONFIG)
     assert [r.verdict for r in report.records] == [v for _, v in DEPTH_PROBES.values()]
     flat = report.records[3]
     assert flat.predicted == 3000 and flat.transcript == DEPTH_PROBES["flat-sum"][0]
+    assert [r.principle_warnings for r in report.records] == [0, 0, 0, 1, 1, 1]
 
     def broken(system):
         raise RuntimeError("solver fault")
@@ -377,6 +382,19 @@ def test_run_eval_turns_any_error_after_the_completion_into_a_verdict(tmp_path, 
         assert record.verdict == SOLVER_FAILURE
         assert record.detail == "RuntimeError: solver fault"
         assert record.transcript == DEPTH_PROBES[record.problem_id][0]
+        assert record.script is None and record.outcome is None and record.predicted is None
+        assert record.principle_warnings == 0
+
+
+def test_run_problem_lets_a_malformed_cassette_abort_the_run(tmp_path):
+    """Only a ClientError from the completion is a verdict: a cassette line
+    of no known shape is a fault of the run, not of the problem."""
+    problem = Problem("p1", "Three packs of 4 plus 2?", F(14))
+    mode = cassette_for(tmp_path, SPEC, [(problem.question, GOOD)])
+    with open(tmp_path / "cassette.jsonl", "a", encoding="utf-8") as handle:
+        handle.write('{"neither": 1}\n')
+    with pytest.raises(ValueError):
+        run_problem(problem, SPEC, CONFIG, mode)
 
 def test_run_problem_client_failure(tmp_path):
     problem = Problem("p1", "not in cassette", F(1))
@@ -399,7 +417,7 @@ def test_llm_solves_uses_final_number_and_skips_solver(tmp_path, monkeypatch):
     spec = PromptSpec(VARIANT_LLM_SOLVES, SPEC.exemplars, principles_header_text())
     problem = Problem("p1", "Q?", F(21))
     transcript = GOOD + "\nThe final answer is 21."  # script solves to 14; model says 21
-    mode = cassette_for(tmp_path, spec, [(problem.question, transcript)])
+    mode = cassette_for(tmp_path, spec, [(problem.question, transcript), ("Q2?", transcript)])
 
     def boom(*args, **kwargs):
         raise AssertionError("solver must not run for the llm-solves variant")
@@ -409,6 +427,13 @@ def test_llm_solves_uses_final_number_and_skips_solver(tmp_path, monkeypatch):
     assert record.verdict == CORRECT
     assert record.predicted == F(21)
     assert record.outcome is None
+    assert record.any_candidate_correct
+
+    # The model's number is the only candidate, even where the script's is right.
+    problem = Problem("p2", "Q2?", F(14))
+    record = run_problem(problem, spec, CONFIG, mode)
+    assert record.verdict == WRONG_ANSWER
+    assert not record.any_candidate_correct
 
 
 def test_llm_solves_still_requires_a_parsable_script(tmp_path):

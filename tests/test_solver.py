@@ -18,6 +18,7 @@ from declsolve.exprs import (
     Sub,
     Var,
     eval_exact,
+    format_rational,
     free_vars,
     substitute,
 )
@@ -922,8 +923,9 @@ def test_goal_roots_are_checked_against_the_other_equations():
     """A root of the goal's own equation that breaks another equation is
     dropped, in either equation order, also where the goal is bound before
     the rest is; a rounded root passes a check its sides agree on to
-    ROOT_DEDUPE_TOLERANCE, a rounded exponent's too.  The trace is
-    unchanged."""
+    ROOT_DEDUPE_TOLERANCE, a rounded exponent's too, and one that fails
+    reports its values as floats, or exactly past the float range.  The
+    trace is unchanged."""
     cases = [
         ("x", ["x ^ 2 = 9", "2 * x = -6"], (F(-3),)),
         ("x", ["x ^ 2 = 9", "x ^ 2 = 4"], InconsistentBindingError),
@@ -950,6 +952,15 @@ def test_goal_roots_are_checked_against_the_other_equations():
             assert [type(c) for c in candidates] == [type(e) for e in expected], order
             exact = all(isinstance(e, F) for e in expected)
             assert candidates == (expected if exact else pytest.approx(expected, rel=1e-12)), order
+    huge = format_rational(F(SQRT2) * 10**400)
+    for equations, message in [
+        (["x ^ 2 = 2", "x ^ 3 = 5"], "equation requires 5.0 but 2.8284271247461907 already holds"),
+        (["x ^ 2 = 2", "y = x * 10 ^ 400", "y = 3"], f"equation requires {huge} but 3.0 already holds"),
+    ]:
+        text = "[[var x]] [[var y]] " + " ".join(f"[[{e}]]" for e in equations) + " [[answer = x]]"
+        with pytest.raises(InconsistentBindingError) as info:
+            solve_script(script_from_transcript(text))
+        assert str(info.value) == message
     outcome = solve_script(script_from_transcript("[[var x]] [[x ^ 2 = 9]] [[2 * x = -6]] [[answer = x]]"))
     assert outcome.trace == ("quadratic: x in {-3, 3}",)
 
