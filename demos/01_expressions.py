@@ -27,10 +27,10 @@ assert value == Fraction(2)
 partial = substitute(price, {"y": Num(4)})
 print("after y := 4:", render(partial))
 
-# Linear expressions decompose into coefficients + constant, the form the
-# elimination solver consumes.
-form = linear_form(price)
-print("linear form: ", dict(form.coefficients), "constant", form.constant)
+# Linear expressions expand into terms, {monomial: coefficient} with the
+# constant under the empty monomial (), which the elimination solver reads
+# into a row.
+print("linear terms:", linear_form(price))
 
 # Exponents stay exact too: (3/2)^3 is 27/8, not 3.375-ish.
 cube = Var("t") ** 3

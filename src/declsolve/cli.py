@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .client import DEFAULT_CREDENTIAL_ENV, DEFAULT_TIMEOUT, ClientError, Live, Replay
 from .evaluation import (
+    Problem,
     RunConfig,
     load_algebra,
     load_gsm8k,
@@ -30,7 +31,7 @@ from .evaluation import (
     run_problem,
 )
 from .exprs import format_rational
-from .parsing import render_script
+from .parsing import check_transcript, render_script
 from .prompts import (
     DEFAULT_STOP_SEQUENCES,
     VARIANT_PRINCIPLES,
@@ -63,15 +64,11 @@ def _run_config(args: argparse.Namespace, config: dict) -> RunConfig:
 
 def _client_mode(args: argparse.Namespace, config: dict):
     endpoint = getattr(args, "endpoint", None) or config.get("endpoint", DEFAULT_ENDPOINT)
-    mode_name = args.mode
-    if mode_name is None:
-        mode_name = "replay" if args.cassette else "live"
+    mode_name = args.mode or ("replay" if args.cassette else "live")
+    if mode_name != "live" and not args.cassette:
+        raise SystemExit(f"{mode_name} mode requires --cassette")
     if mode_name == "replay":
-        if not args.cassette:
-            raise SystemExit("replay mode requires --cassette")
         return Replay(args.cassette)
-    if mode_name == "record" and not args.cassette:
-        raise SystemExit("record mode requires --cassette")
     return Live(
         endpoint=endpoint,
         cassette_path=args.cassette if mode_name == "record" else None,
@@ -85,8 +82,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     spec = spec_for_variant(args.variant)
     run_config = _run_config(args, config)
     mode = _client_mode(args, config)
-    from .evaluation import Problem
-
     problem = Problem("cli", args.question, Fraction(0))
     record = run_problem(problem, spec, run_config, mode)
     if args.explain:
@@ -145,14 +140,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         )
     if args.runs > 1:
         mean = statistics.fmean(rates)
-        spread = statistics.stdev(rates) if len(rates) > 1 else 0.0
+        spread = statistics.stdev(rates)
         print(f"runs: {args.runs}  mean solve rate: {mean:.1f}%  stddev: {spread:.2f}")
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .parsing import check_transcript
-
     text = Path(args.transcript).read_text(encoding="utf-8")
     result = check_transcript(text, args.question or "")
     if result.script is not None:
@@ -173,6 +166,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1
     print("ok")
     return 0
+
+
+def _run_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--mode", choices=["live", "replay", "record"], default=None)
     evaluate.add_argument("--cassette", help="cassette path for replay/record modes")
     evaluate.add_argument("--workers", type=int, default=1)
-    evaluate.add_argument("--runs", type=int, default=1)
+    evaluate.add_argument("--runs", type=_run_count, default=1)
     evaluate.add_argument("--out", required=True, help="report output directory")
     evaluate.add_argument("--force", action="store_true", help="overwrite existing records")
     evaluate.add_argument("--config", help="JSON config file (endpoint, model, params)")

@@ -398,21 +398,9 @@ def leaves(expr: Expr) -> tuple[tuple[str, ...], tuple[Fraction, ...]]:
     return tuple(names), tuple(numerals)
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """coefficients . vars + constant, with no zero coefficients stored."""
-
-    coefficients: dict[str, Fraction]
-    constant: Fraction
-
-    def evaluate(self, bindings: Mapping[str, RationalLike]) -> Fraction:
-        total = self.constant
-        for name, coeff in self.coefficients.items():
-            total += coeff * Fraction(bindings[name])
-        return total
-
-
 # A monomial is a sorted tuple of (name, power) pairs; the constant one is ().
+# The one polynomial format between a tree and the integer routines.  Its
+# coefficients are always `Fraction`, never `int`, and never zero.
 Monomial = tuple[tuple[str, int], ...]
 Terms = dict[Monomial, Fraction]
 
@@ -566,16 +554,15 @@ def _multiply(left: Terms, right: Terms, max_degree: int) -> Terms:
     return {monomial: _bounded(coeff) for monomial, coeff in out.items() if coeff}
 
 
-def linear_form(expr: Expr) -> LinearForm:
-    """The degree-1 view of `polynomial(expr, 1)`, or NonLinearError.
+def linear_form(expr: Expr) -> Terms:
+    """`polynomial(expr, 1)`: the terms of a linear `expr`, each monomial a
+    single `((name, 1),)` or the constant `()`, or NonLinearError.
 
     Division by a constant is linear; division by anything variable-bearing
     is not.  Pow is linear only with a constant integer exponent of 0 or 1
     over a variable-bearing base (constant bases fold to a constant).
     """
-    terms = polynomial(expr, 1)
-    constant = terms.pop((), Fraction(0))
-    return LinearForm({monomial[0][0]: coeff for monomial, coeff in terms.items()}, constant)
+    return polynomial(expr, 1)
 
 
 def format_rational(value: Fraction) -> str:

@@ -19,9 +19,9 @@ divides the leading coefficient), so once an interval is narrower than
 root that is not rational is refined until both ends of its interval round
 to the same float.
 
-Interval ends are dyadic, `num / 2**k`, and every evaluation is integer
-Horner on the scaled value `2**(k * deg) * p(num / 2**k)`, whose sign is
-that of `p(num / 2**k)`.
+Interval ends are dyadic, `num / 2**k`.  Every evaluation, at such an end
+or at a rational candidate `m / lead`, is one integer Horner on the scaled
+value `den**deg * p(num / den)`, whose sign is that of `p(num / den)`.
 """
 
 from __future__ import annotations
@@ -149,13 +149,13 @@ def _divide(p: Poly, g: Poly) -> Poly:
     return quotient
 
 
-def _value(p: Poly, num: int, k: int) -> int:
-    """2**(k * deg p) * p(num / 2**k)."""
+def _value(p: Poly, num: int, den: int) -> int:
+    """den**deg p * p(num / den), by Horner's rule."""
     acc = p[-1]
-    shift = 0
+    scale = 1
     for c in reversed(p[:-1]):
-        shift += k
-        acc = acc * num + (c << shift)
+        scale *= den
+        acc = acc * num + c * scale
     return acc
 
 
@@ -264,18 +264,18 @@ def _refine(p: Poly, lo: int, hi: int, k: int) -> Fraction | float:
     """
     n = len(p) - 1
     lead = abs(p[-1])
-    f_lo, f_hi = _value(p, lo, k), _value(p, hi, k)
+    f_lo, f_hi = _value(p, lo, 1 << k), _value(p, hi, 1 << k)
     # p has one sign from the root up to hi and the other below the root.
     # When hi is itself a (simple) root, p just below it has the sign of
     # -p'(hi).
-    above = f_hi > 0 if f_hi else _value([i * c for i, c in enumerate(p)][1:], hi, k) < 0
+    above = f_hi > 0 if f_hi else _value([i * c for i, c in enumerate(p)][1:], hi, 1 << k) < 0
     rational = True  # m / lead not yet tested
     bits = 2
     for _ in range((hi - lo).bit_length() + lead.bit_length() + _FLOAT_STEPS):
         if rational and (hi - lo) * lead < 1 << k:
             rational = False
             candidate = ((lo * lead) >> k) + 1  # the one m with lo < m / lead < hi
-            if candidate << k < hi * lead and _rational_value(p, candidate, lead) == 0:
+            if candidate << k < hi * lead and _value(p, candidate, lead) == 0:
                 return Fraction(candidate, lead)
         if not rational and _float(lo, k) == _float(hi, k):
             break
@@ -286,7 +286,7 @@ def _refine(p: Poly, lo: int, hi: int, k: int) -> Fraction | float:
             width = hi - lo
             a = (lo << bits) + max(j - 1, 0) * width
             b = (lo << bits) + min(j + 1, cells) * width
-            f_a, f_b = _value(p, a, k + bits), _value(p, b, k + bits)
+            f_a, f_b = _value(p, a, 1 << (k + bits)), _value(p, b, 1 << (k + bits))
             for point, value in ((a, f_a), (b, f_b)):
                 if value == 0:
                     return Fraction(point, 1 << (k + bits))
@@ -298,7 +298,7 @@ def _refine(p: Poly, lo: int, hi: int, k: int) -> Fraction | float:
         lo, mid, hi, scale = _split(lo, hi, k)
         if scale != k:
             k, f_lo, f_hi = scale, f_lo << n, f_hi << n
-        f_mid = _value(p, mid, k)
+        f_mid = _value(p, mid, 1 << k)
         if f_mid == 0:
             return Fraction(mid, 1 << k)
         if (f_mid > 0) == above:
@@ -309,16 +309,6 @@ def _refine(p: Poly, lo: int, hi: int, k: int) -> Fraction | float:
     if high == 0 or math.isinf(high):
         raise IsolationError("an irrational root lies outside the range of a float")
     return high
-
-
-def _rational_value(p: Poly, num: int, den: int) -> int:
-    """den**deg p * p(num / den)."""
-    acc = p[-1]
-    scale = 1
-    for c in reversed(p[:-1]):
-        scale *= den
-        acc = acc * num + c * scale
-    return acc
 
 
 def _float(num: int, k: int) -> float:

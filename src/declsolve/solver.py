@@ -251,6 +251,12 @@ def forward_substitute(
     return bindings, residual
 
 
+def _integers(values: list[Fraction]) -> list[int]:
+    """`values` scaled by the lcm of their denominators."""
+    common = math.lcm(*(value.denominator for value in values))
+    return [value.numerator * (common // value.denominator) for value in values]
+
+
 def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
     """Exact fraction-free Gauss-Jordan elimination (Bareiss 1968).
 
@@ -270,13 +276,10 @@ def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
     width = len(variables)
     rows: list[list[int]] = []
     for lhs, rhs in system.equations:
-        form = linear_form(lhs - rhs)
-        row = [Fraction(0)] * (width + 1)
-        for name, coeff in form.coefficients.items():
-            row[column[name]] = coeff
-        row[width] = -form.constant
-        common = math.lcm(*(value.denominator for value in row))
-        rows.append([value.numerator * (common // value.denominator) for value in row])
+        row = [Fraction(0)] * (width + 1)  # coefficients, then the constant
+        for monomial, coeff in linear_form(lhs - rhs).items():
+            row[column[monomial[0][0]] if monomial else width] = coeff
+        rows.append(_integers(row))
 
     pivots: list[tuple[int, int]] = []  # (row, column)
     pivot_row = 0
@@ -305,7 +308,7 @@ def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
     pinned: dict[str, Fraction] = {}
     for r, col in pivots:
         if all(rows[r][c] == 0 for c in range(width) if c != col):
-            pinned[variables[col]] = Fraction(rows[r][width], rows[r][col])
+            pinned[variables[col]] = Fraction(-rows[r][width], rows[r][col])
 
     if system.goal in pinned or system.goal not in column:
         return pinned
@@ -318,9 +321,7 @@ def solve_linear(system: EquationSystem) -> dict[str, Fraction]:
 def _coefficients(terms: Terms, var: str) -> list[int]:
     """Integer coefficients, lowest first, of a multiple of `terms` in `var`."""
     degree = max((monomial[0][1] if monomial else 0 for monomial in terms), default=-1)
-    coeffs = [terms.get(((var, k),) if k else (), Fraction(0)) for k in range(degree + 1)]
-    common = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (common // c.denominator) for c in coeffs]
+    return _integers([terms.get(((var, k),) if k else (), Fraction(0)) for k in range(degree + 1)])
 
 
 def _solve_univariate(equation: Equation, var: str) -> tuple[list[Value], str]:

@@ -63,6 +63,9 @@ def test_solve_replay_prints_answer(tmp_path, capsys):
     )
     assert main(["solve", question, "--mode", "replay", "--cassette", str(cassette)]) == 0
     assert capsys.readouterr().out.strip() == "42"
+    # Without --mode, a cassette means replay.
+    assert main(["solve", question, "--cassette", str(cassette)]) == 0
+    assert capsys.readouterr().out.strip() == "42"
 
 
 def test_solve_explain_shows_script_and_trace(tmp_path, capsys):
@@ -100,6 +103,11 @@ def test_solve_cassette_miss_is_client_failure(tmp_path, capsys):
 def test_solve_replay_requires_cassette():
     with pytest.raises(SystemExit):
         main(["solve", "Q?", "--mode", "replay"])
+
+
+def test_solve_record_requires_cassette():
+    with pytest.raises(SystemExit, match="record mode requires --cassette"):
+        main(["solve", "Q?", "--mode", "record"])
 
 
 # --- eval ----------------------------------------------------------------
@@ -147,6 +155,14 @@ def test_eval_runs_repeats_and_summarizes(tmp_path, capsys):
     assert "runs: 2  mean solve rate: 72.0%  stddev: 0.00" in out
     assert (tmp_path / "out" / "run-1" / "records.jsonl").exists()
     assert (tmp_path / "out" / "run-2" / "report.txt").exists()
+
+
+def test_eval_rejects_fewer_than_one_run(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(_eval_args(tmp_path / "out", ["--runs", "0"]))
+    assert exit_info.value.code == 2
+    assert "--runs: must be at least 1, not 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_reads_config_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import threading
 import time
@@ -100,11 +101,11 @@ def test_load_gsm8k_duplicate_ids(tmp_path):
 def test_load_algebra_csv(tmp_path):
     path = tmp_path / "algebra.csv"
     path.write_text(
-        'id,question,answer\na1,"Sum of two numbers...",8\na2,"Another",4.5\n',
+        'id,question,answer\na1,"Sum of two numbers...",8\na2,"Another",4.5\na3,"A share",50%\n',
         encoding="utf-8",
     )
     problems = load_algebra(path)
-    assert [(p.id, p.gold_answer) for p in problems] == [("a1", F(8)), ("a2", F(9, 2))]
+    assert [(p.id, p.gold_answer) for p in problems] == [("a1", F(8)), ("a2", F(9, 2)), ("a3", F(50))]
 
 
 def test_load_algebra_jsonl(tmp_path):
@@ -629,10 +630,14 @@ def test_report_from_records_rebuilds_partial_histogram(tmp_path):
 
 
 def test_reemitting_from_records_matches_original_summary(tmp_path):
-    mode = cassette_for(tmp_path, SPEC, COMPLETIONS)
+    irrational = Problem("p4", "Root?", F(1))  # answered by a float
+    completions = [*COMPLETIONS, (irrational.question, "[[var x]] [[x * x = 2]] [[answer = x]]")]
+    mode = cassette_for(tmp_path, SPEC, completions)
     out = tmp_path / "out"
-    run_eval(PROBLEMS, SPEC, mode, CONFIG, dataset_name="mini", out_dir=out)
+    run_eval([*PROBLEMS, irrational], SPEC, mode, CONFIG, dataset_name="mini", out_dir=out)
     rebuilt = report_from_records(out / "records.jsonl")
+    assert rebuilt.records[-1].predicted == math.sqrt(2)
+    assert rebuilt.records[-1].outcome.candidates == (-math.sqrt(2), math.sqrt(2))
     redo = tmp_path / "redo"
     emit_report(rebuilt, redo, formats=("table", "csv", "records"))
     assert (redo / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()

@@ -1,6 +1,7 @@
 import itertools
 import re
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from declsolve.exprs import (
     DivisionByZeroError,
     ExponentTooLargeError,
     ExprError,
-    LinearForm,
     Mul,
     Neg,
     NonIntegerExponentError,
@@ -176,16 +176,12 @@ def test_free_vars_and_numerals():
 
 def test_linear_form_collects_terms():
     x, y = Var("x"), Var("y")
-    form = linear_form(2 * x + y - (x - 3))
-    assert form.coefficients == {"x": Fraction(1), "y": Fraction(1)}
-    assert form.constant == 3
+    assert linear_form(2 * x + y - (x - 3)) == {(("x", 1),): Fraction(1), (("y", 1),): Fraction(1), (): Fraction(3)}
 
 
 def test_linear_form_divides_by_constant_only():
     x = Var("x")
-    form = linear_form((x + 1) / 2)
-    assert form.coefficients == {"x": Fraction(1, 2)}
-    assert form.constant == Fraction(1, 2)
+    assert linear_form((x + 1) / 2) == {(("x", 1),): Fraction(1, 2), (): Fraction(1, 2)}
     with pytest.raises(NonLinearError):
         linear_form(Div(Num(1), x))
     with pytest.raises(DivisionByZeroError):
@@ -199,8 +195,8 @@ def test_linear_form_rejects_products_of_variables():
     with pytest.raises(NonLinearError):
         linear_form(Pow(x, Num(2)))
     # but x^1 and x^0 are fine
-    assert linear_form(Pow(x, Num(1))).coefficients == {"x": Fraction(1)}
-    assert linear_form(Pow(x, Num(0))).constant == 1
+    assert linear_form(Pow(x, Num(1))) == {(("x", 1),): Fraction(1)}
+    assert linear_form(Pow(x, Num(0))) == {(): Fraction(1)}
 
 
 def test_polynomial_expands_to_sparse_monomials():
@@ -324,7 +320,7 @@ def test_linear_form_agrees_with_eval(e):
         return
     direct = _try_eval(e, FULL_BINDINGS)
     if direct is not None:
-        assert form.evaluate(FULL_BINDINGS) == direct
+        assert _terms_value(form, FULL_BINDINGS) == direct
 
 
 @given(exprs())
@@ -369,6 +365,20 @@ _OLD_MAX_POLY_DEGREE = 32
 
 class _Deviation(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class LinearForm:
+    """What the old `linear_form` returned: coefficients . vars + constant,
+    with no zero coefficients stored."""
+
+    coefficients: dict[str, Fraction]
+    constant: Fraction
+
+    def terms(self):
+        """The same polynomial as `Terms`, the format `linear_form` returns."""
+        terms = {((name, 1),): coeff for name, coeff in self.coefficients.items()}
+        return terms | ({(): self.constant} if self.constant else {})
 
 
 def _fold_fractional(base, exponent):
@@ -623,16 +633,16 @@ def _agrees_with_eval(expr, terms):
 @settings(max_examples=400, deadline=None)
 @given(_diff_expressions(["x", "y", "z"]))
 def test_linear_form_matches_old_linear_form(expr):
-    """The same LinearForm, or the same error type at the first subtree in
-    post-order that fails; a constant power over MAX_POWER_BITS now raises
-    ExponentTooLargeError instead of folding."""
+    """The same terms as the old LinearForm, or the same error type at the
+    first subtree in post-order that fails; a constant power over
+    MAX_POWER_BITS now raises ExponentTooLargeError instead of folding."""
     got = _outcome(linear_form, expr)
     try:
         expected = _first_failure(lambda e: _outcome(_reference_linear_form, e), expr)
     except _Deviation:
         assert got is ExponentTooLargeError
         return
-    assert got == expected
+    assert got == (expected.terms() if isinstance(expected, LinearForm) else expected)
 
 
 @settings(max_examples=400, deadline=None)

@@ -1080,6 +1080,21 @@ def test_solve_system_deduplicates_candidates():
         script_from_transcript("[[var x]] [[x * x - 2 * x + 1 = 0]] [[answer = x]]")
     )
     assert outcome.candidates == (F(1),)
+    # Roots of x that give the goal y the same value, in both equation
+    # orders: one candidate is left, and an exact value replaces the floats.
+    for equations, expected in (
+        (("x ^ 2 = 4", "y = x ^ 2"), (F(4),)),
+        (("x ^ 2 = 2", "y = x * x"), None),
+        (("x ^ 3 - x ^ 2 - 2 * x + 2 = 0", "y = (x - 1) * (x * x - 2) + 5"), (F(5),)),
+    ):
+        for order in (equations, equations[::-1]):
+            text = "[[var x]] [[var y]] " + " ".join(f"[[{e}]]" for e in order) + " [[answer = y]]"
+            candidates = solve_script(script_from_transcript(text)).candidates
+            if expected is None:
+                assert len(candidates) == 1 and isinstance(candidates[0], float)
+                assert candidates[0] == pytest.approx(2)
+            else:
+                assert candidates == expected
 
 
 def test_solve_system_goal_must_be_declared():
