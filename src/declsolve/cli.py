@@ -63,7 +63,7 @@ def _run_config(args: argparse.Namespace, config: dict) -> RunConfig:
 
 
 def _client_mode(args: argparse.Namespace, config: dict):
-    endpoint = getattr(args, "endpoint", None) or config.get("endpoint", DEFAULT_ENDPOINT)
+    endpoint = args.endpoint or config.get("endpoint", DEFAULT_ENDPOINT)
     mode_name = args.mode or ("replay" if args.cassette else "live")
     if mode_name != "live" and not args.cassette:
         raise SystemExit(f"{mode_name} mode requires --cassette")
@@ -182,30 +182,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve a single question end to end")
+    # The flags that choose the prompt variant and reach the model, shared by
+    # solve and eval.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--variant", choices=VARIANTS, default=VARIANT_PRINCIPLES)
+    shared.add_argument("--mode", choices=["live", "replay", "record"], default=None)
+    shared.add_argument("--cassette", help="cassette path for replay/record modes")
+    shared.add_argument("--config", help="JSON config file (endpoint, model, params)")
+    shared.add_argument("--endpoint", help="completions endpoint URL")
+    shared.add_argument("--model", help="model identifier")
+
+    solve = sub.add_parser("solve", parents=[shared], help="solve a single question end to end")
     solve.add_argument("question")
-    solve.add_argument("--variant", choices=VARIANTS, default=VARIANT_PRINCIPLES)
     solve.add_argument("--explain", action="store_true", help="print script, trace, candidates")
-    solve.add_argument("--mode", choices=["live", "replay", "record"], default=None)
-    solve.add_argument("--cassette", help="cassette path for replay/record modes")
-    solve.add_argument("--config", help="JSON config file (endpoint, model, params)")
-    solve.add_argument("--endpoint", help="completions endpoint URL")
-    solve.add_argument("--model", help="model identifier")
     solve.set_defaults(func=_cmd_solve)
 
-    evaluate = sub.add_parser("eval", help="evaluate a dataset and write reports")
+    evaluate = sub.add_parser("eval", parents=[shared], help="evaluate a dataset and write reports")
     evaluate.add_argument("--dataset", required=True, help="dataset file path")
     evaluate.add_argument("--format", choices=["gsm8k", "algebra"], required=True)
-    evaluate.add_argument("--variant", choices=VARIANTS, default=VARIANT_PRINCIPLES)
-    evaluate.add_argument("--mode", choices=["live", "replay", "record"], default=None)
-    evaluate.add_argument("--cassette", help="cassette path for replay/record modes")
     evaluate.add_argument("--workers", type=int, default=1)
     evaluate.add_argument("--runs", type=_run_count, default=1)
     evaluate.add_argument("--out", required=True, help="report output directory")
     evaluate.add_argument("--force", action="store_true", help="overwrite existing records")
-    evaluate.add_argument("--config", help="JSON config file (endpoint, model, params)")
-    evaluate.add_argument("--endpoint", help="completions endpoint URL")
-    evaluate.add_argument("--model", help="model identifier")
     evaluate.add_argument("--dataset-name", help="label used in reports (default: file stem)")
     evaluate.set_defaults(func=_cmd_eval)
 

@@ -25,7 +25,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .client import ClientError, ClientMode, CompletionRequest, Transport, complete
 from .exprs import MAX_POWER_BITS, ExprError, Var, format_rational
@@ -398,10 +398,6 @@ def record_from_json(row: dict[str, Any]) -> EvalRecord:
     )
 
 
-def _record_line(record: EvalRecord) -> str:
-    return json.dumps(record_to_json(record), sort_keys=True, ensure_ascii=False)
-
-
 # --------------------------------------------------------------------------
 # Run orchestration
 
@@ -452,7 +448,8 @@ def run_eval(
     """Evaluate every problem and aggregate a report.
 
     Records stream to ``out_dir/records.jsonl`` in dataset order as they
-    are produced.  An existing records file is refused unless ``force``.
+    are produced, and ``report.txt`` and ``summary.csv`` are written when
+    the run ends.  An existing records file is refused unless ``force``.
     ``workers`` threads solve problems concurrently; it is also the bound
     on completion requests in flight.
     """
@@ -486,7 +483,7 @@ def run_eval(
             for record in (map if pool is None else pool.map)(solve, problems):
                 records.append(record)
                 if handle is not None:
-                    handle.write(_record_line(record) + "\n")
+                    handle.write(json.dumps(record_to_json(record), sort_keys=True, ensure_ascii=False) + "\n")
                     handle.flush()
     finally:
         if handle is not None:
@@ -494,7 +491,7 @@ def run_eval(
 
     report = _aggregate(records, spec.variant, dataset_name, snapshot)
     if out_dir is not None:
-        emit_report(report, out_dir, formats=("table", "csv"))
+        emit_report(report, out_dir)
     return report
 
 
@@ -539,32 +536,12 @@ def render_report_csv(report: RunReport) -> str:
     return buffer.getvalue()
 
 
-def emit_report(
-    report: RunReport,
-    out_dir: str | Path,
-    *,
-    formats: Iterable[str] = ("table", "csv", "records"),
-) -> dict[str, Path]:
-    """Write report files; returns {format: path}.  Bytes are deterministic."""
+def emit_report(report: RunReport, out_dir: str | Path) -> None:
+    """Write ``report.txt`` and ``summary.csv``.  Bytes are deterministic."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-    for fmt in formats:
-        if fmt == "table":
-            path = out_dir / "report.txt"
-            path.write_text(render_report_table(report), encoding="utf-8")
-        elif fmt == "csv":
-            path = out_dir / "summary.csv"
-            path.write_text(render_report_csv(report), encoding="utf-8")
-        elif fmt == "records":
-            path = out_dir / "records.jsonl"
-            lines = [json.dumps({"meta": report.config}, sort_keys=True, ensure_ascii=False)]
-            lines.extend(_record_line(r) for r in report.records)
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
-        written[fmt] = path
-    return written
+    (out_dir / "report.txt").write_text(render_report_table(report), encoding="utf-8")
+    (out_dir / "summary.csv").write_text(render_report_csv(report), encoding="utf-8")
 
 
 def report_from_records(path: str | Path) -> RunReport:

@@ -12,7 +12,7 @@ never in code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -31,14 +31,7 @@ VARIANT_PRINCIPLES = "declarative_principles"
 VARIANT_LLM_SOLVES = "declarative_llm_solves"
 VARIANT_ONE_STEP = "one_step_declarative"
 
-VARIANTS: tuple[str, ...] = (
-    VARIANT_DECLARATIVE,
-    VARIANT_PRINCIPLES,
-    VARIANT_LLM_SOLVES,
-    VARIANT_ONE_STEP,
-)
-
-_HEADER_LINES = (
+_PRINCIPLES_HEADER = "\n".join((
     "1. Introduce each quantity as a named variable and state each fact as"
     " an equation, writing every declaration inside double square brackets.",
     "2. The last declaration names the answer variable, written"
@@ -47,27 +40,30 @@ _HEADER_LINES = (
     "4. Never introduce the same variable twice.",
     "5. Use every number that appears in the question in at least one"
     " equation.",
-)
+))
 
-# Per-variant banner lines.  They mark the variant in the prompt bytes, so
-# two variants sharing an exemplar set still assemble distinct prompts.
-VARIANT_BANNERS: dict[str, str] = {
+# What each variant fixes in its prompts: the packaged exemplar file, whether
+# the principles header leads, and the banner line.  A banner marks the
+# variant in the prompt bytes, so two variants sharing an exemplar set still
+# assemble distinct prompts.
+_VARIANT_ROWS: dict[str, tuple[str, bool, str | None]] = {
+    VARIANT_DECLARATIVE: ("declarative_3shot.txt", False, None),
+    VARIANT_PRINCIPLES: ("declarative_3shot.txt", True, None),
     VARIANT_LLM_SOLVES: (
+        "declarative_llm_solves_3shot.txt",
+        True,
         "After stating the variables and equations, compute the final answer"
-        " and give it on the last line."
+        " and give it on the last line.",
     ),
     VARIANT_ONE_STEP: (
+        "one_step_3shot.txt",
+        False,
         "Translate each problem into a single equation whose left side names"
-        " the answer variable."
+        " the answer variable.",
     ),
 }
 
-_EXEMPLAR_FILES: dict[str, str] = {
-    VARIANT_DECLARATIVE: "declarative_3shot.txt",
-    VARIANT_PRINCIPLES: "declarative_3shot.txt",
-    VARIANT_LLM_SOLVES: "declarative_llm_solves_3shot.txt",
-    VARIANT_ONE_STEP: "one_step_3shot.txt",
-}
+VARIANTS: tuple[str, ...] = tuple(_VARIANT_ROWS)
 
 _QUESTION_SENTINEL = "=== QUESTION ==="
 _SOLUTION_SENTINEL = "=== SOLUTION ==="
@@ -139,16 +135,12 @@ class PromptSpec:
 
     variant: str
     exemplars: tuple[Exemplar, ...]
-    principles_header: str | None = field(default=None)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        if self.variant in (VARIANT_PRINCIPLES, VARIANT_LLM_SOLVES):
-            if not self.principles_header:
-                raise ValueError(f"variant {self.variant!r} requires a header")
         if self.variant == VARIANT_ONE_STEP:
             for i, ex in enumerate(self.exemplars):
                 brackets = extract_brackets(ex.solution)
@@ -161,20 +153,21 @@ class PromptSpec:
 
 def principles_header_text() -> str:
     """The numbered formalization rules, byte-stable across calls."""
-    return "\n".join(_HEADER_LINES)
+    return _PRINCIPLES_HEADER
 
 
 def assemble_prompt(spec: PromptSpec, question: str) -> str:
     """Concatenate header, banner, exemplars, and the test question.
 
+    The variant fixes whether the header leads and which banner follows.
     Blocks are joined with blank lines; the final block is the test
     question with an empty solution slot (``Solution:`` with nothing after
     it) for the model to complete.
     """
+    _, principled, banner = _VARIANT_ROWS[spec.variant]
     blocks: list[str] = []
-    if spec.principles_header:
-        blocks.append(spec.principles_header)
-    banner = VARIANT_BANNERS.get(spec.variant)
+    if principled:
+        blocks.append(_PRINCIPLES_HEADER)
     if banner:
         blocks.append(banner)
     for ex in spec.exemplars:
@@ -273,25 +266,16 @@ def dump_exemplars(path: str | Path, exemplars: list[Exemplar] | tuple[Exemplar,
 
 def default_exemplar_path(variant: str) -> Path:
     """Filesystem path of the packaged exemplar file for a variant."""
-    if variant not in _EXEMPLAR_FILES:
+    if variant not in _VARIANT_ROWS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     root = resources.files("declsolve").joinpath("data", "exemplars")
-    return Path(str(root.joinpath(_EXEMPLAR_FILES[variant])))
+    return Path(str(root.joinpath(_VARIANT_ROWS[variant][0])))
 
 
-def spec_for_variant(
-    variant: str,
-    exemplars: list[Exemplar] | tuple[Exemplar, ...] | None = None,
-) -> PromptSpec:
-    """A ready-to-use PromptSpec: packaged exemplars plus the right header."""
-    if exemplars is None:
-        exemplars = load_exemplars(
-            default_exemplar_path(variant),
-            require_scripts=variant != VARIANT_ONE_STEP,
-        )
-    header = (
-        principles_header_text()
-        if variant in (VARIANT_PRINCIPLES, VARIANT_LLM_SOLVES)
-        else None
+def spec_for_variant(variant: str) -> PromptSpec:
+    """A ready-to-use PromptSpec with the variant's packaged exemplars."""
+    exemplars = load_exemplars(
+        default_exemplar_path(variant),
+        require_scripts=variant != VARIANT_ONE_STEP,
     )
-    return PromptSpec(variant, tuple(exemplars), header)
+    return PromptSpec(variant, tuple(exemplars))

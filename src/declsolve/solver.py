@@ -486,8 +486,10 @@ def _rounded(value: Fraction) -> Value:
         return value
 
 
-def _render(bindings: Iterable[tuple[str, Fraction]]) -> str:
-    return ", ".join(f"{name} = {format_rational(value)}" for name, value in sorted(bindings))
+def _render(bindings: Iterable[tuple[str, Fraction]], approx: bool) -> str:
+    """Bindings for a trace line; under `approx` each value as `_rounded` gives it."""
+    show = (lambda value: format_value(_rounded(value))) if approx else format_rational
+    return ", ".join(f"{name} = {show(value)}" for name, value in sorted(bindings))
 
 
 class _Budget:
@@ -535,7 +537,7 @@ def _solve(
     bindings, residual = forward_substitute(system, bound, approx=approx)
     added = [(name, value) for name, value in bindings.items() if name not in bound]
     if added:
-        trace.append(f"substitution: {_render(added)}")
+        trace.append(f"substitution: {_render(added, approx)}")
     known = {system.goal: bindings[system.goal]} if system.goal in bindings else {}
     if residual.equations or not known:
         try:
@@ -550,7 +552,7 @@ def _solve(
                 raise UnsolvableError() from first_error
         elif not known:  # else the rest is only checked
             partial = " (goal pinned, system underdetermined)" if len(pinned) < len(residual.unknowns) else ""
-            trace.append(f"linear-elimination: {_render(pinned.items())}{partial}")
+            trace.append(f"linear-elimination: {_render(pinned.items(), approx)}{partial}")
             bindings = pinned
     value = bindings[system.goal]
     try:

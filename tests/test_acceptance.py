@@ -27,7 +27,6 @@ from declsolve.prompts import (
     Exemplar,
     PromptSpec,
     assemble_prompt,
-    principles_header_text,
     spec_for_variant,
 )
 from declsolve.solver import EquationSystem, solve_linear, solve_univariate
@@ -243,19 +242,17 @@ def test_end_to_end_replay_is_byte_golden(tmp_path):
 
 def test_variant_distinctness_and_solver_bypass(tmp_path, monkeypatch):
     shared = (Exemplar("One and one?", "The pair is [[pair = 1 + 1]]."),)
-    header = principles_header_text()
     config = RunConfig(model="m")
     digests = set()
     for variant in VARIANTS:
-        needs_header = variant in ("declarative_principles", VARIANT_LLM_SOLVES)
-        spec = PromptSpec(variant, shared, header if needs_header else None)
+        spec = PromptSpec(variant, shared)
         prompt = assemble_prompt(spec, "Fixed question?")
         digests.add(
             fingerprint(CompletionRequest("m", prompt, config.params, config.stop_sequences))
         )
 
     # the llm-solves path must classify without ever calling the solver
-    spec = PromptSpec(VARIANT_LLM_SOLVES, shared, header)
+    spec = PromptSpec(VARIANT_LLM_SOLVES, shared)
     problem = ev.Problem("p", "Two plus two?", F(4))
     cassette = tmp_path / "c.jsonl"
     request = CompletionRequest(

@@ -4,8 +4,13 @@ declsolve's modules by name, so renaming one of them must fail here too."""
 import importlib.util
 from pathlib import Path
 
+from fractions import Fraction
+
 from declsolve import solver
+from declsolve.client import CompletionRequest, Replay, append_record
+from declsolve.evaluation import Problem, RunConfig, run_eval
 from declsolve.parsing import script_from_transcript
+from declsolve.prompts import Exemplar, PromptSpec, assemble_prompt
 from declsolve.solver import EquationSystem
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -37,3 +42,25 @@ def test_tracer_wraps_names_that_exist_and_puts_them_back():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, (owner, attr)
+
+
+def test_tracer_sees_the_report_and_each_problem_of_a_run(tmp_path):
+    spec = PromptSpec("declarative", (Exemplar("One plus one?", "[[var s]] [[s = 1 + 1]] [[answer = s]]"),))
+    config = RunConfig(model="m")
+    problems = [Problem("p1", "Two plus two?", Fraction(4)), Problem("p2", "Three plus three?", Fraction(6))]
+    cassette = tmp_path / "cassette.jsonl"
+    for problem in problems:
+        request = CompletionRequest(
+            config.model, assemble_prompt(spec, problem.question), config.params, config.stop_sequences
+        )
+        append_record(cassette, request, f"[[var n]] [[n = {problem.gold_answer}]] [[answer = n]]")
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        report = run_eval(problems, spec, Replay(str(cassette)), config, out_dir=tmp_path / "out")
+    finally:
+        tracer.uninstall()
+    assert report.solve_rate == 100.0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("evaluation.emit_report") == 1
+    assert sorted(span[4] for span in tracer.spans if span[0] == "parsing.script") == ["p1", "p2"]

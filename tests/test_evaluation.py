@@ -37,7 +37,6 @@ from declsolve.prompts import (
     Exemplar,
     PromptSpec,
     assemble_prompt,
-    principles_header_text,
 )
 
 F = Fraction
@@ -45,7 +44,6 @@ F = Fraction
 SPEC = PromptSpec(
     "declarative_principles",
     (Exemplar("One plus one?", "Sum [[var s]], [[s = 1 + 1]], [[answer = s]]."),),
-    principles_header_text(),
 )
 CONFIG = RunConfig(model="test-model")
 
@@ -415,7 +413,7 @@ def test_run_problem_counts_principle_warnings(tmp_path):
 
 
 def test_llm_solves_uses_final_number_and_skips_solver(tmp_path, monkeypatch):
-    spec = PromptSpec(VARIANT_LLM_SOLVES, SPEC.exemplars, principles_header_text())
+    spec = PromptSpec(VARIANT_LLM_SOLVES, SPEC.exemplars)
     problem = Problem("p1", "Q?", F(21))
     transcript = GOOD + "\nThe final answer is 21."  # script solves to 14; model says 21
     mode = cassette_for(tmp_path, spec, [(problem.question, transcript), ("Q2?", transcript)])
@@ -438,7 +436,7 @@ def test_llm_solves_uses_final_number_and_skips_solver(tmp_path, monkeypatch):
 
 
 def test_llm_solves_still_requires_a_parsable_script(tmp_path):
-    spec = PromptSpec(VARIANT_LLM_SOLVES, SPEC.exemplars, principles_header_text())
+    spec = PromptSpec(VARIANT_LLM_SOLVES, SPEC.exemplars)
     problem = Problem("p1", "Q?", F(21))
     mode = cassette_for(tmp_path, spec, [(problem.question, "The final answer is 21.")])
     record = run_problem(problem, spec, CONFIG, mode)
@@ -446,7 +444,7 @@ def test_llm_solves_still_requires_a_parsable_script(tmp_path):
 
 
 def test_llm_solves_missing_number_is_solver_failure(tmp_path):
-    spec = PromptSpec(VARIANT_LLM_SOLVES, SPEC.exemplars, principles_header_text())
+    spec = PromptSpec(VARIANT_LLM_SOLVES, SPEC.exemplars)
     problem = Problem("p1", "Q?", F(14))
     transcript = "So [[var n]], [[n = 14]], [[answer = n]].\nNo digits in this closing line"
     mode = cassette_for(tmp_path, spec, [(problem.question, transcript)])
@@ -456,7 +454,7 @@ def test_llm_solves_missing_number_is_solver_failure(tmp_path):
 
 
 def test_llm_solves_huge_final_number_is_solver_failure(tmp_path):
-    spec = PromptSpec(VARIANT_LLM_SOLVES, SPEC.exemplars, principles_header_text())
+    spec = PromptSpec(VARIANT_LLM_SOLVES, SPEC.exemplars)
     problem = Problem("p1", "Q?", F(14))
     transcript = "So [[var n]], [[n = 14]], [[answer = n]].\n" + "7" * 5000
     mode = cassette_for(tmp_path, spec, [(problem.question, transcript)])
@@ -639,7 +637,11 @@ def test_reemitting_from_records_matches_original_summary(tmp_path):
     assert rebuilt.records[-1].predicted == math.sqrt(2)
     assert rebuilt.records[-1].outcome.candidates == (-math.sqrt(2), math.sqrt(2))
     redo = tmp_path / "redo"
-    emit_report(rebuilt, redo, formats=("table", "csv", "records"))
+    emit_report(rebuilt, redo)
     assert (redo / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
     assert (redo / "report.txt").read_bytes() == (out / "report.txt").read_bytes()
-    assert (redo / "records.jsonl").read_bytes() == (out / "records.jsonl").read_bytes()
+    streamed = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+    assert [
+        json.dumps(ev.record_to_json(record), sort_keys=True, ensure_ascii=False)
+        for record in rebuilt.records
+    ] == streamed

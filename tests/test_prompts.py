@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,7 +65,7 @@ def test_assemble_no_exemplars_no_header():
 
 
 def test_assemble_blocks_in_order():
-    spec = PromptSpec(VARIANT_PRINCIPLES, (EX,), principles_header_text())
+    spec = PromptSpec(VARIANT_PRINCIPLES, (EX,))
     prompt = assemble_prompt(spec, "How many?")
     header = principles_header_text()
     assert prompt.startswith(header + "\n\n")
@@ -76,6 +78,22 @@ def test_assemble_blocks_in_order():
 def test_assemble_is_deterministic():
     spec = spec_for_variant(VARIANT_PRINCIPLES)
     assert assemble_prompt(spec, "Q?") == assemble_prompt(spec, "Q?")
+
+
+# Cassettes key completions by the prompt bytes, so a re-keyed prompt would
+# turn every recorded lookup for its variant into a miss.
+PROMPT_SHA256 = {
+    VARIANT_DECLARATIVE: "8e7b6b687b26b5c54c86a7d7d003d05e4e52b7cfcd015d5dd451125b5d273091",
+    VARIANT_PRINCIPLES: "685530b5c746a558c708c5156817375a036ea9ff057f32a252b2d7b886812baa",
+    VARIANT_LLM_SOLVES: "05b0aa8c06868a87e540dd20ba61b47d6fb70c169d5e58bc0211463b58ebb8f4",
+    VARIANT_ONE_STEP: "bd8e610cda70abc8a8e16418f6a623244e3d4f0fa10f8cb9eb185f129bf4befa",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_assembled_prompt_bytes_are_pinned(variant):
+    prompt = assemble_prompt(spec_for_variant(variant), "Q?")
+    assert hashlib.sha256(prompt.encode("utf-8")).hexdigest() == PROMPT_SHA256[variant]
 
 
 def test_header_is_five_numbered_lines():
@@ -92,29 +110,19 @@ def test_header_is_five_numbered_lines():
 def test_variants_produce_distinct_prompts_for_shared_exemplars():
     # an exemplar set acceptable to every variant: single-declaration solutions
     shared = (Exemplar("What is 1 plus 1?", "The sum is [[s = 1 + 1]]."),)
-    header = principles_header_text()
     prompts = set()
     for variant in VARIANTS:
-        needs_header = variant in (VARIANT_PRINCIPLES, VARIANT_LLM_SOLVES)
-        spec = PromptSpec(variant, shared, header if needs_header else None)
+        spec = PromptSpec(variant, shared)
         prompts.add(assemble_prompt(spec, "Same question?"))
     assert len(prompts) == 4
 
 
 def test_prompt_length_monotonicity():
-    header = principles_header_text()
-    with_one = assemble_prompt(PromptSpec(VARIANT_PRINCIPLES, (EX,), header), "Q")
-    with_two = assemble_prompt(PromptSpec(VARIANT_PRINCIPLES, (EX, EX), header), "Q")
+    with_one = assemble_prompt(PromptSpec(VARIANT_PRINCIPLES, (EX,)), "Q")
+    with_two = assemble_prompt(PromptSpec(VARIANT_PRINCIPLES, (EX, EX)), "Q")
     without_header = assemble_prompt(PromptSpec(VARIANT_DECLARATIVE, (EX,)), "Q")
     assert len(with_two) > len(with_one)
     assert len(without_header) < len(with_one)
-
-
-def test_promptspec_requires_header_for_principled_variants():
-    with pytest.raises(ValueError):
-        PromptSpec(VARIANT_PRINCIPLES, (EX,))
-    with pytest.raises(ValueError):
-        PromptSpec(VARIANT_LLM_SOLVES, (EX,), principles_header=None)
 
 
 def test_promptspec_one_step_requires_single_declaration():

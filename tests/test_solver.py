@@ -1075,6 +1075,17 @@ def test_solve_system_approximate_values_stay_floats():
     assert min(abs(c - (1 + math.sqrt(2))) for c in outcome.candidates) < 1e-9
 
 
+def test_trace_shows_bindings_from_a_rounded_root_as_floats():
+    substituted = solve_script(script_from_transcript(
+        "[[var x]] [[var y]] [[x ^ 2 = 2]] [[y = x * x]] [[answer = y]]"
+    ))
+    assert substituted.trace[2] == "substitution: y = 2.0000000000000004"
+    eliminated = solve_script(script_from_transcript(
+        "[[var x]] [[var y]] [[var z]] [[x ^ 2 = 2]] [[y + z = x]] [[y - z = 1]] [[answer = y]]"
+    ))
+    assert eliminated.trace[-1] == "linear-elimination: y = 1.2071067811865475, z = 0.20710678118654757"
+
+
 def test_solve_system_deduplicates_candidates():
     outcome = solve_script(
         script_from_transcript("[[var x]] [[x * x - 2 * x + 1 = 0]] [[answer = x]]")
