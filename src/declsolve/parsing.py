@@ -17,7 +17,10 @@ Expression grammar (no implicit multiplication)::
 
 `^` binds tighter than unary minus, which binds tighter than `*` and `/`.
 Decimal numerals parse as exact rationals (`0.25` -> 1/4).  At most
-MAX_NESTING levels nest; deeper input is an ExprSyntaxError.
+MAX_NESTING levels nest; deeper input is an ExprSyntaxError.  A body is
+parsed from its token texts alone, and positions are found only for an
+error.  The declarations of one transcript share one node per name or
+numeral text.
 
 A parsed script is checked against five structural rules: every statement
 is a declaration (1), the goal comes last (2), equations use only
@@ -131,31 +134,20 @@ class ReservedIdentifierError(ScriptError):
 
 
 # --------------------------------------------------------------------------
-# Tokenizer and expression parser
+# Tokens and the expression parser
 
-# A token is a (kind, text, position) tuple, kind one of num, ident, op and
-# end.  Each match is the whitespace before a token, then the token: a
-# numeral, a name, an operator or, as `\S`, any other character.  Its first
-# character tells which (a numeral's is a `\d`, which is what isdecimal
-# accepts).
-_TOKEN_RE = re.compile(r"(\s*)(\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()=]|\S)")
+# A token is a numeral, a name, an operator or, as `\S`, any other
+# character, which is invalid.  Its first character tells which (a numeral's
+# is a `\d`, which is what isdecimal accepts).
+_TEXT_RE = re.compile(r"\d+(?:\.\d+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()=]|\S")
 _OPERATOR_CHARS = frozenset("-+*/^()=")
 _NAME_START = frozenset(string.ascii_letters + "_")
-_Token = tuple[str, str, int]
 
 _ATOM_EXPECTED = {"number", "name", "'-'", "'('"}
 
 # The most parse levels open at once below the top one.  Each '(', unary
 # '-' and binary right operand opens a level, so recursion stays bounded.
 MAX_NESTING = 200
-
-
-def _numeral(digits: str) -> Fraction:
-    """The exact value of a digit string with an optional decimal part."""
-    whole, _, frac = digits.partition(".")
-    if frac:
-        return Fraction(int(whole + frac), 10 ** len(frac))
-    return Fraction(int(whole))
 
 
 # The most significant digits a numeral may have, its decimal places counted
@@ -166,40 +158,27 @@ _MAX_NUMERAL_DIGITS = int(MAX_POWER_BITS / math.log2(10))
 
 
 def bounded_numeral(text: str) -> Fraction | None:
-    """`_numeral(text)`, or None past _MAX_NUMERAL_DIGITS.
+    """The exact value of a digit string with an optional decimal part, or
+    None past _MAX_NUMERAL_DIGITS.
 
     Leading zeros and trailing decimal zeros do not count, so every numeral
     of one value is held to the same bound.  The one rule for numerals in
     scripts, questions, final answers and gold answers.
     """
-    if len(text) <= _MAX_NUMERAL_DIGITS // 2:  # any numeral this short fits
-        return _numeral(text)
     whole, _, frac = text.partition(".")
-    frac = frac.rstrip("0")
-    digits = (whole + frac).lstrip("0")
-    if len(digits) + len(frac) > _MAX_NUMERAL_DIGITS:
-        return None
-    return Fraction(int(digits or "0"), 10 ** len(frac))
+    digits = whole + frac
+    if len(text) > _MAX_NUMERAL_DIGITS // 2:  # any shorter numeral fits
+        frac = frac.rstrip("0")
+        digits = (whole + frac).lstrip("0")
+        if len(digits) + len(frac) > _MAX_NUMERAL_DIGITS:
+            return None
+    value = int(digits or "0")
+    return Fraction(value, 10 ** len(frac)) if frac else Fraction(value)
 
 
-def _tokenize(src: str, offset: int = 0) -> list[_Token]:
-    tokens = []
-    append = tokens.append
-    position = offset
-    for space, text in _TOKEN_RE.findall(src):
-        position += len(space)
-        first = text[0]
-        if first in _OPERATOR_CHARS:
-            append(("op", text, position))
-        elif first in _NAME_START:
-            append(("ident", text, position))
-        elif first.isdecimal():
-            append(("num", text, position))
-        else:
-            raise ExprSyntaxError(position, {"a valid token"}, repr(text))
-        position += len(text)
-    append(("end", "", offset + len(src)))
-    return tokens
+class _Stop(Exception):
+    """A parse failure: args (token index, expected kinds[, found text]), or
+    none for a second '='.  `_located` turns it into the public error."""
 
 
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -207,76 +186,88 @@ _UNARY_PREC = 3
 _BINARY_NODE = {"+": Add, "-": Sub, "*": Mul, "/": Div, "^": Pow}
 
 
-class _Parser:
-    """Precedence climbing over a token list that ends in an end token.
+def _climb(texts: list[str], i: int, min_prec: int, depth: int, leaves: dict[str, Expr],
+           names: dict[str, None], numerals: list[Fraction]) -> tuple[Expr, int]:
+    """Precedence climbing from `texts[i]` over operators binding at least
+    `min_prec`: the tree, and the index of the token after it.
 
-    Operators are told apart by text alone: no name or numeral spells one.
-    As it builds the leaves, left to right, it records each variable name
-    once in order of first occurrence, and every numeral's value.
+    Each leaf is the one node `leaves` holds for its text, made on first
+    use.  Left to right, each leaf's name goes into `names` (once, in order
+    of first occurrence) or its numeral's value into `numerals`.
     """
-
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.index = 0
-        self.names: dict[str, None] = {}
-        self.numerals: list[Fraction] = []
-
-    def parse(self, min_prec: int = 0, depth: int = 0) -> Expr:
-        tokens = self.tokens
-        if depth > MAX_NESTING:
-            _, text, pos = tokens[self.index - 1]  # the token that opened this level
-            raise ExprSyntaxError(pos, {f"at most {MAX_NESTING} nesting levels"}, text)
-        lhs = self.atom(depth)
-        while True:
-            text = tokens[self.index][1]
-            prec = _BINARY_PREC.get(text)
-            if prec is None or prec < min_prec:
-                return lhs
-            self.index += 1
-            # '^' is right-associative: keep the same level on the right.
-            rhs = self.parse(prec if text == "^" else prec + 1, depth + 1)
-            lhs = _BINARY_NODE[text](lhs, rhs)
-
-    def atom(self, depth: int) -> Expr:
-        kind, text, pos = self.tokens[self.index]
-        self.index += 1
-        if kind == "num":
-            value = bounded_numeral(text)
-            if value is None:
+    if depth > MAX_NESTING:  # texts[i - 1] opened this level
+        raise _Stop(i - 1, {f"at most {MAX_NESTING} nesting levels"})
+    text = texts[i]
+    if text == "(":
+        node, i = _climb(texts, i + 1, 0, depth + 1, leaves, names, numerals)
+        if texts[i] != ")":
+            raise _Stop(i, {"')'"})
+        i += 1
+    elif text == "-":
+        # Unary minus binds looser than '^': -x^2 is -(x^2).
+        node, i = _climb(texts, i + 1, _UNARY_PREC + 1, depth + 1, leaves, names, numerals)
+        node = Neg(node)
+    else:
+        node = leaves.get(text)
+        if node is None:
+            if text[:1] in _NAME_START:
+                node = Var(text)
+            elif not text[:1].isdecimal():
+                raise _Stop(i, _ATOM_EXPECTED)
+            elif (value := bounded_numeral(text)) is None:
                 expected = {f"a numeral of at most {MAX_POWER_BITS} bits"}
-                raise ExprSyntaxError(pos, expected, f"one of {len(text)} characters")
-            self.numerals.append(value)
-            return Num(value)
-        if kind == "ident":
-            self.names[text] = None
-            return Var(text)
-        if text == "-":
-            # Unary minus binds looser than '^': -x^2 is -(x^2).
-            return Neg(self.parse(_UNARY_PREC + 1, depth + 1))
-        if text == "(":
-            inner = self.parse(0, depth + 1)
-            _, text, pos = self.tokens[self.index]
-            if text != ")":
-                raise ExprSyntaxError(pos, {"')'"}, text or "end of input")
-            self.index += 1
-            return inner
-        raise ExprSyntaxError(pos, set(_ATOM_EXPECTED), text or "end of input")
+                raise _Stop(i, expected, f"one of {len(text)} characters")
+            else:
+                node = Num(value)
+            leaves[text] = node
+        if type(node) is Var:
+            names[text] = None
+        else:
+            numerals.append(node.value)
+        i += 1
+    while True:
+        text = texts[i]
+        prec = _BINARY_PREC.get(text)
+        if prec is None or prec < min_prec:
+            return node, i
+        right_prec = prec if text == "^" else prec + 1  # '^' is right-associative
+        right, i = _climb(texts, i + 1, right_prec, depth + 1, leaves, names, numerals)
+        node = _BINARY_NODE[text](node, right)
 
 
-def _parse_run(tokens: list[_Token]) -> tuple[Expr, tuple[str, ...], tuple[Fraction, ...]]:
-    """Parse a whole token run into its tree, variable names and numerals
-    (as `exprs.leaves` gives them); raises ExprSyntaxError."""
-    parser = _Parser(tokens)
-    expr = parser.parse()
-    kind, text, pos = tokens[parser.index]
-    if kind != "end":
-        raise ExprSyntaxError(pos, {"end of expression"}, text)
-    return expr, tuple(parser.names), tuple(parser.numerals)
+def _located(src: str, offset: int, stop: _Stop, declaration: bool) -> ParseError:
+    """The error `stop` stands for, placed in `src`, which starts at `offset`,
+    unless `src` holds an invalid token, which is reported first.  In a
+    declaration, a stop at its '=' is one at the end of the left side: where
+    its last token ends, or where the body starts."""
+    matches = list(_TEXT_RE.finditer(src))
+    for match in matches:
+        first = match.group()[0]
+        if first not in _OPERATOR_CHARS and first not in _NAME_START and not first.isdecimal():
+            return ExprSyntaxError(offset + match.start(), {"a valid token"}, repr(match.group()))
+    if not stop.args:
+        return MultipleEqualsError(src.strip())
+    index, expected, *found = stop.args
+    if index == len(matches):
+        position, text = len(src), "end of input"
+    elif declaration and matches[index].group() == "=":
+        position, text = matches[index - 1].end() if index else 0, "end of input"
+    else:
+        position, text = matches[index].start(), matches[index].group()
+    return ExprSyntaxError(offset + position, set(expected), found[0] if found else text)
 
 
 def parse_expression(src: str, offset: int = 0) -> Expr:
     """Parse one arithmetic expression; raises ExprSyntaxError."""
-    return _parse_run(_tokenize(src, offset))[0]
+    texts = _TEXT_RE.findall(src)
+    texts.append("")  # the end of the expression
+    try:
+        expr, i = _climb(texts, 0, 0, 0, {}, {}, [])
+        if i != len(texts) - 1:
+            raise _Stop(i, {"end of expression"})
+    except _Stop as stop:
+        raise _located(src, offset, stop, False) from None
+    return expr
 
 
 # --------------------------------------------------------------------------
@@ -341,34 +332,41 @@ def extract_brackets(text: str) -> list[tuple[str, Span]]:
     return found
 
 
-def parse_declaration(raw: str, span: Span | None = None) -> Declaration:
-    """Parse one bracket body into a declaration."""
-    offset = span[0] + 2 if span else 0
-    tokens = _tokenize(raw, offset)
-    equals = [i for i, token in enumerate(tokens) if token[1] == "="]
-    if len(equals) > 1:
-        raise MultipleEqualsError(raw.strip())
+def parse_declaration(
+    raw: str, span: Span | None = None, leaves: dict[str, Expr] | None = None
+) -> Declaration:
+    """Parse one bracket body into a declaration.
 
-    if not equals:
-        # Only remaining legal form: `var <ident>`.
-        if len(tokens) == 3 and tokens[0][1] == "var" and tokens[1][0] == "ident":
-            return VarDecl(tokens[1][1], span)
-        _, text, pos = tokens[0]
-        raise ExprSyntaxError(pos, {"'var <name>'", "'<expr> = <expr>'"}, text or "end of input")
-
-    split = equals[0]
-    lhs, rhs = tokens[:split], tokens[split + 1 :]
-    if len(lhs) == 1 and lhs[0][1] == RESERVED_GOAL_NAME:
-        if len(rhs) == 2 and rhs[0][0] == "ident":
-            return GoalDecl(rhs[0][1], span)
-        _, text, pos = rhs[0]
-        raise ExprSyntaxError(pos, {"a variable name"}, text or "end of input")
-
-    # The left side ends where its last token does, or where the body starts.
-    lhs.append(("end", "", lhs[-1][2] + len(lhs[-1][1]) if lhs else offset))
-    left, lhs_names, lhs_numerals = _parse_run(lhs)
-    right, rhs_names, rhs_numerals = _parse_run(rhs)
-    return EqDecl(left, right, span, lhs_names, rhs_names, lhs_numerals + rhs_numerals)
+    `leaves` maps each name and numeral text to the one node that stands for
+    it; the declarations of one transcript share it, and a lone call gets a
+    fresh one.  Trees are immutable, so a node may sit in many of them.
+    """
+    texts = _TEXT_RE.findall(raw)
+    texts.append("")  # the end of the body
+    try:
+        equals = texts.count("=")
+        if equals > 1:
+            raise _Stop()
+        if not equals:
+            # Only remaining legal form: `var <ident>`.
+            if len(texts) == 3 and texts[0] == "var" and texts[1][0] in _NAME_START:
+                return VarDecl(texts[1], span)
+            raise _Stop(0, {"'var <name>'", "'<expr> = <expr>'"})
+        split = texts.index("=")
+        if split == 1 and texts[0] == RESERVED_GOAL_NAME:
+            if len(texts) == 4 and texts[2][0] in _NAME_START:
+                return GoalDecl(texts[2], span)
+            raise _Stop(2, {"a variable name"})
+        leaves = {} if leaves is None else leaves
+        lhs_names, rhs_names, numerals = {}, {}, []
+        lhs, i = _climb(texts, 0, 0, 0, leaves, lhs_names, numerals)
+        if i == split:
+            rhs, i = _climb(texts, split + 1, 0, 0, leaves, rhs_names, numerals)
+        if i != len(texts) - 1:  # either side stopped short of its end
+            raise _Stop(i, {"end of expression"})
+    except _Stop as stop:
+        raise _located(raw, span[0] + 2 if span else 0, stop, True) from None
+    return EqDecl(lhs, rhs, span, tuple(lhs_names), tuple(rhs_names), tuple(numerals))
 
 
 # --------------------------------------------------------------------------
@@ -439,8 +437,8 @@ def script_from_transcript(text: str) -> SolutionScript:
     brackets = extract_brackets(text)
     if not brackets:
         raise NoDeclarationsError()
-    decls = [parse_declaration(raw, span) for raw, span in brackets]
-    return build_script(decls)
+    leaves: dict[str, Expr] = {}
+    return build_script([parse_declaration(raw, span, leaves) for raw, span in brackets])
 
 
 def render_script(script: SolutionScript) -> str:

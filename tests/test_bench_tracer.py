@@ -64,3 +64,8 @@ def test_tracer_sees_the_report_and_each_problem_of_a_run(tmp_path):
     names = [span[0] for span in tracer.spans]
     assert names.count("evaluation.emit_report") == 1
     assert sorted(span[4] for span in tracer.spans if span[0] == "parsing.script") == ["p1", "p2"]
+    for problem in problems:
+        inside = [span[0] for span in tracer.spans if span[4] == problem.id]
+        assert inside.count("parsing.extract") == 1
+        assert inside.count("parsing.declaration") == 3
+    assert tracer.counts()["parsing.declarations"] == 6

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from declsolve import exprs, solver
 from declsolve.exprs import (
-    Add, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, free_vars, postorder,
+    Add, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, free_vars, postorder, render,
 )
 from declsolve.parsing import (
     EqDecl,
@@ -24,6 +24,7 @@ from declsolve.parsing import (
     TranscriptCheck,
     VarDecl,
     check_principles,
+    extract_brackets,
     parse_declaration,
     parse_expression,
     script_from_transcript,
@@ -165,6 +166,32 @@ def test_a_parsed_reversed_chain_walks_each_equation_about_once(monkeypatch):
     assert outcome.selected == 7 + sum(i % 5 + 1 for i in range(1, n))
     assert report.unused_question_numbers == ()
     assert calls[0] <= n + 5
+
+
+# --------------------------------------------------------------------------
+# One node per leaf text in a transcript
+
+def test_a_parsed_reversed_chain_shares_one_node_per_name_and_numeral():
+    n = 400
+    names = [f"v{i}" for i in range(n)]
+    links = [f"[[{names[i]} = {names[i - 1]} + {i % 5 + 1}]]" for i in range(n - 1, 0, -1)]
+    declarations = [f"[[var {name}]]" for name in names] + links
+    transcript = " ".join(declarations + [f"[[{names[0]} = 7]]", f"[[answer = {names[-1]}]]"])
+
+    script = script_from_transcript(transcript)
+    sides = [side for eq in script.equations for side in (eq.lhs, eq.rhs)]
+    leaves = {id(node) for side in sides for node in postorder(side) if type(node) in (Var, Num)}
+    numeral_texts = {str(i % 5 + 1) for i in range(1, n)} | {"7"}
+    assert len(leaves) == len(names) + len(numeral_texts)
+
+    bodies = [raw for raw, _ in extract_brackets(transcript) if "=" in raw and "answer" not in raw]
+    assert len(bodies) == len(script.equations)
+    for raw, eq in zip(bodies, script.equations):
+        for text, side in zip(raw.split("="), (eq.lhs, eq.rhs)):
+            fresh = parse_expression(text)
+            assert side == fresh
+            assert hash(side) == hash(fresh)
+            assert render(side) == render(fresh)
 
 
 # --------------------------------------------------------------------------

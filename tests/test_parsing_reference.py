@@ -5,6 +5,8 @@ The reference tokenizes with one regex `match` per token into frozen
 precedence climbing without a nesting limit.  On any bracket body that
 nests less than `MAX_NESTING` levels, both must give equal declarations,
 or raise the same exception type with the same message and position.
+Whole transcripts, whose brackets share names and numerals, are held to the
+same against the reference parse of each bracket on its own.
 `question_numbers` is held to the same on question text.
 """
 
@@ -21,11 +23,16 @@ from declsolve.parsing import (
     ExprSyntaxError,
     GoalDecl,
     MultipleEqualsError,
+    NoDeclarationsError,
     ParseError,
+    ScriptError,
     VarDecl,
+    build_script,
+    extract_brackets,
     parse_declaration,
     parse_expression,
     question_numbers,
+    script_from_transcript,
 )
 
 # --------------------------------------------------------------------------
@@ -170,6 +177,13 @@ def _parse_token_run(tokens, span):
     return expr
 
 
+def reference_script_from_transcript(text):
+    brackets = extract_brackets(text)
+    if not brackets:
+        raise NoDeclarationsError()
+    return build_script([reference_parse_declaration(raw, span) for raw, span in brackets])
+
+
 _QUESTION_NUMBER_RE = re.compile(r"\d[\d,]*(?:\.\d+)?%?")
 
 
@@ -236,6 +250,41 @@ BODIES = (
 
 SPANS = st.none() | st.integers(0, 10_000).map(lambda start: (start, start + 40))
 
+# Transcripts: brackets with prose between.  The name and numeral pools are
+# small, so most transcripts use one name or numeral text in several
+# brackets.  Well-formed ones declare every name but the reserved two, state
+# equations over them and end in a goal; the others mix in any body.
+PROSE = st.lists(st.sampled_from(["", " ", "So ", ", and\n", " then "]) | st.text(max_size=4),
+                 min_size=12, max_size=12)
+PLAIN = EXPRESSIONS.filter(lambda e: "var" not in e and "answer" not in e)
+INTRODUCTIONS = [f"var {name}" for name in ("x", "y", "total", "_t2")]
+
+
+def _transcript(bodies, prose):
+    return "".join(f"{text}[[{body}]]" for text, body in zip(prose, bodies)) + prose[-1]
+
+
+WELL_FORMED = st.tuples(
+    st.lists(st.tuples(PLAIN, PLAIN).map(" = ".join), min_size=1, max_size=6), PROSE
+).map(lambda p: _transcript([*INTRODUCTIONS, *p[0], "answer = x"], p[1]))
+ANY_BODIES = st.tuples(
+    st.lists(NAMES.map(lambda name: f"var {name}"), max_size=4),
+    st.lists(BODIES | st.tuples(EXPRESSIONS, EXPRESSIONS).map(" = ".join), max_size=6),
+    st.lists(NAMES.map(lambda name: f"answer = {name}"), max_size=1),
+    PROSE,
+).map(lambda p: _transcript(p[0] + p[1] + p[2], p[3]))
+TRANSCRIPTS = WELL_FORMED | ANY_BODIES
+
+
+def script_outcome(function, text):
+    """`outcome` for a transcript, with each equation's recorded leaves."""
+    try:
+        script = function(text)
+    except (ParseError, ScriptError) as err:
+        return ("error", type(err), str(err), getattr(err, "position", getattr(err, "span", None)))
+    records = [(d.lhs_names, d.rhs_names, d.numerals) for d in script.equations]
+    return ("value", script, [d.span for d in script.declarations], records)
+
 
 def outcome(function, *args):
     """A comparable result: the value (and its span), or the error."""
@@ -254,6 +303,14 @@ def outcome(function, *args):
 def test_parse_declaration_matches_reference(body, span):
     assert outcome(parse_declaration, body, span) == outcome(
         reference_parse_declaration, body, span
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(TRANSCRIPTS)
+def test_script_from_transcript_matches_reference(text):
+    assert script_outcome(script_from_transcript, text) == script_outcome(
+        reference_script_from_transcript, text
     )
 
 
