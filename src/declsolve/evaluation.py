@@ -10,7 +10,7 @@ abort a run.
 
 Reports are byte-deterministic: no timestamps, fixed key order, fixed
 float formatting.  Records stream to disk in dataset order as they are
-produced, so a crashed run can be re-aggregated from the partial file.
+produced, so a crashed run keeps every record finished before the crash.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from .client import ClientError, ClientMode, CompletionRequest, Transport, complete
-from .exprs import MAX_POWER_BITS, ExprError, Var, format_rational
+from .exprs import MAX_POWER_BITS, Var, format_rational
 from .parsing import (
     EqDecl,
     GoalDecl,
@@ -219,10 +219,14 @@ def _require_unique_ids(problems: list[Problem], path: str | Path) -> None:
 # Scoring and answer extraction
 
 def score(predicted: Value, gold: Fraction) -> bool:
-    """Exact equality for exact values; relative tolerance for floats."""
+    """Exact equality for exact values; relative tolerance for floats, which
+    no gold answer past the float range is within."""
     if isinstance(predicted, Fraction):
         return predicted == gold
-    gold_f = float(gold)
+    try:
+        gold_f = float(gold)
+    except OverflowError:
+        return False
     return abs(predicted - gold_f) <= SCORE_RELATIVE_TOLERANCE * max(1.0, abs(gold_f))
 
 
@@ -261,8 +265,9 @@ def run_problem(
     `complete` raises (a malformed cassette, a faulty transport) propagates
     and aborts the run.  Every error after the completion is a verdict: a
     parse error a ParseFailure, a script error a ScriptInvalid, a failed
-    solve or a missing final number a SolverFailure that keeps the script
-    and its warnings, and any other error a SolverFailure without them.
+    solve (any `SolverError`, whose type is the failure class) or a missing
+    final number a SolverFailure that keeps the script and its warnings, and
+    any other error a SolverFailure without them.
     """
     prompt = assemble_prompt(spec, problem.question)
     request = CompletionRequest(config.model, prompt, config.params, config.stop_sequences)
@@ -335,7 +340,7 @@ def _answer(
             outcome = solve_system(EquationSystem.from_script(script))
             return outcome, outcome.selected
         predicted = extract_final_number(transcript)
-    except (SolverError, ExprError, ValueError) as err:
+    except (SolverError, ValueError) as err:
         raise _Failure(SOLVER_FAILURE, str(err))
     if predicted is None:
         raise _Failure(SOLVER_FAILURE, "no final number in transcript")
@@ -353,14 +358,6 @@ def _value_to_json(value: Value | None) -> Any:
     return value
 
 
-def _value_from_json(raw: Any) -> Value | None:
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        return Fraction(raw)
-    return float(raw)
-
-
 def record_to_json(record: EvalRecord) -> dict[str, Any]:
     row: dict[str, Any] = {
         "id": record.problem_id,
@@ -376,26 +373,6 @@ def record_to_json(record: EvalRecord) -> dict[str, Any]:
     if record.detail:
         row["detail"] = record.detail
     return row
-
-
-def record_from_json(row: dict[str, Any]) -> EvalRecord:
-    outcome = None
-    if "candidates" in row:
-        candidates = tuple(_value_from_json(c) for c in row["candidates"])
-        outcome = SolveOutcome(
-            candidates, _value_from_json(row["predicted"]), tuple(row.get("trace", ()))
-        )
-    return EvalRecord(
-        problem_id=row["id"],
-        transcript=row.get("transcript"),
-        script=None,
-        outcome=outcome,
-        predicted=_value_from_json(row.get("predicted")),
-        verdict=row["verdict"],
-        any_candidate_correct=row.get("any_candidate_correct", False),
-        principle_warnings=row.get("principle_warnings", 0),
-        detail=row.get("detail", ""),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -543,25 +520,3 @@ def emit_report(report: RunReport, out_dir: str | Path) -> None:
     (out_dir / "report.txt").write_text(render_report_table(report), encoding="utf-8")
     (out_dir / "summary.csv").write_text(render_report_csv(report), encoding="utf-8")
 
-
-def report_from_records(path: str | Path) -> RunReport:
-    """Re-aggregate a report from a streamed records file.
-
-    Works on partial files from interrupted runs: the histogram reflects
-    exactly the records present.
-    """
-    records: list[EvalRecord] = []
-    meta: dict[str, Any] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if "meta" in row and lineno == 0:
-                meta = row["meta"]
-                continue
-            records.append(record_from_json(row))
-    return _aggregate(
-        records, meta.get("variant", "?"), meta.get("dataset", "?"), meta
-    )

@@ -260,10 +260,6 @@ def load_exemplars(path: str | Path, *, require_scripts: bool = True) -> list[Ex
     return exemplars
 
 
-def dump_exemplars(path: str | Path, exemplars: list[Exemplar] | tuple[Exemplar, ...]) -> None:
-    Path(path).write_text(render_exemplars(exemplars), encoding="utf-8")
-
-
 def default_exemplar_path(variant: str) -> Path:
     """Filesystem path of the packaged exemplar file for a variant."""
     if variant not in _VARIANT_ROWS:

@@ -98,7 +98,9 @@ class NoRealRootError(SolverError):
 
 
 class NumericDivergenceError(SolverError):
-    """A value too large, or with no exact value; the message says which."""
+    """A value too large, past the float range, with no exact value, or a
+    zero divisor; the message says which, and `__cause__` keeps the error
+    met."""
 
 
 class UnsolvableError(SolverError):
@@ -465,7 +467,12 @@ def _merge_candidate(collected: list[Value], value: Value) -> None:
         if isinstance(existing, Fraction) and isinstance(value, Fraction):
             if existing == value:
                 return
-        elif abs(float(existing) - float(value)) <= ROOT_DEDUPE_TOLERANCE:
+            continue
+        try:
+            gap = abs(float(existing) - float(value))
+        except OverflowError:  # an exact value past the float range is near no float
+            continue
+        if gap <= ROOT_DEDUPE_TOLERANCE:
             # Keep the exact representative when the two coincide.
             if isinstance(value, Fraction) and isinstance(existing, float):
                 collected[i] = value
@@ -507,9 +514,10 @@ class _Budget:
 def solve_system(system: EquationSystem) -> SolveOutcome:
     """Run the strategy pipeline and select among the candidate answers.
 
-    Raises UnsolvableError when every strategy is exhausted; sub-solver
-    failures (inconsistency, no real root, divergence) propagate so callers
-    can classify them.
+    Every failure is a SolverError whose type is its class: UnsolvableError
+    when every strategy is exhausted, or the failure a strategy met
+    (inconsistency, no real root, divergence), so callers can classify it.
+    Raises ValueError only for a goal that is not an unknown.
     """
     if system.goal not in system.unknowns:
         raise ValueError(f"goal '{system.goal}' is not an unknown")
@@ -533,31 +541,33 @@ def _solve(
     ROOT_DEDUPE_TOLERANCE.  The rest are solved on; once the goal is bound
     they need only be consistent, not pin every unknown.  The trace names
     the bindings found, not those given.  The list is never empty: where
-    no candidate survives, this raises."""
-    bindings, residual = forward_substitute(system, bound, approx=approx)
-    added = [(name, value) for name, value in bindings.items() if name not in bound]
-    if added:
-        trace.append(f"substitution: {_render(added, approx)}")
-    known = {system.goal: bindings[system.goal]} if system.goal in bindings else {}
-    if residual.equations or not known:
-        try:
-            pinned = solve_linear(residual)
-        except (NonLinearError, UnderdeterminedError) as err:
-            pinned, first_error = None, err if isinstance(err, SolverError) else None
-        if pinned is None:
-            outcomes = _branch_univariate(residual, trace, budget, approx, known)
-            if outcomes is not None:
-                return outcomes
-            if not known:
-                raise UnsolvableError() from first_error
-        elif not known:  # else the rest is only checked
-            partial = " (goal pinned, system underdetermined)" if len(pinned) < len(residual.unknowns) else ""
-            trace.append(f"linear-elimination: {_render(pinned.items(), approx)}{partial}")
-            bindings = pinned
-    value = bindings[system.goal]
+    no candidate survives, this raises.  Every failure is a SolverError: an
+    expression error, or a value past the float range, is a
+    NumericDivergenceError with the same message and it as the cause."""
     try:
+        bindings, residual = forward_substitute(system, bound, approx=approx)
+        added = [(name, value) for name, value in bindings.items() if name not in bound]
+        if added:
+            trace.append(f"substitution: {_render(added, approx)}")
+        known = {system.goal: bindings[system.goal]} if system.goal in bindings else {}
+        if residual.equations or not known:
+            try:
+                pinned = solve_linear(residual)
+            except (NonLinearError, UnderdeterminedError) as err:
+                pinned, first_error = None, err if isinstance(err, SolverError) else None
+            if pinned is None:
+                outcomes = _branch_univariate(residual, trace, budget, approx, known)
+                if outcomes is not None:
+                    return outcomes
+                if not known:
+                    raise UnsolvableError() from first_error
+            elif not known:  # else the rest is only checked
+                partial = " (goal pinned, system underdetermined)" if len(pinned) < len(residual.unknowns) else ""
+                trace.append(f"linear-elimination: {_render(pinned.items(), approx)}{partial}")
+                bindings = pinned
+        value = bindings[system.goal]
         return [float(value) if approx else value]
-    except OverflowError as err:
+    except (ExprError, OverflowError) as err:
         raise NumericDivergenceError(str(err)) from err
 
 
@@ -588,14 +598,14 @@ def _branch_univariate(
             residual.names[:index] + residual.names[index + 1 :],
         )
         collected: list[Value] = []
-        branch_error: Exception | None = None
+        branch_error: SolverError | None = None
         for root in roots:
             budget.spend()
             if var != residual.goal and len(roots) > 1:
                 trace.append(f"branch: {var} = {format_value(root)}")
             try:
                 collected += _solve(rest, trace, budget, known | {var: Fraction(root)}, approx or isinstance(root, float))
-            except (SolverError, ExprError) as err:
+            except SolverError as err:
                 branch_error = err
         if collected:
             return collected

@@ -2,18 +2,23 @@
 declsolve's modules by name, so renaming one of them must fail here too."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from fractions import Fraction
 
-from declsolve import solver
+import pytest
+
+from declsolve import evaluation, solver
 from declsolve.client import CompletionRequest, Replay, append_record
 from declsolve.evaluation import Problem, RunConfig, run_eval
+from declsolve.exprs import DivisionByZeroError
 from declsolve.parsing import script_from_transcript
 from declsolve.prompts import Exemplar, PromptSpec, assemble_prompt
-from declsolve.solver import EquationSystem
+from declsolve.solver import EquationSystem, NumericDivergenceError
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer_module():
@@ -69,3 +74,26 @@ def test_tracer_sees_the_report_and_each_problem_of_a_run(tmp_path):
         assert inside.count("parsing.extract") == 1
         assert inside.count("parsing.declaration") == 3
     assert tracer.counts()["parsing.declarations"] == 6
+
+
+def test_tracer_counts_solve_failures_under_the_listed_names():
+    """A zero divisor met in a branch is counted as the one solver failure
+    class the benchmark lists for it, not as the expression error."""
+    system = EquationSystem.from_script(
+        script_from_transcript(
+            "[[var x]] [[var y]] [[x = 0]] [[x / (y - 3) = 0]] [[x + y = 3]] [[answer = x]]"
+        )
+    )
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        with pytest.raises(NumericDivergenceError) as info:
+            evaluation.solve_system(system)
+    finally:
+        tracer.uninstall()
+    assert isinstance(info.value.__cause__, DivisionByZeroError)
+    counts = tracer.counts()
+    assert counts["solver.fail.NumericDivergenceError"] == 1
+    listed = {metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    failures = {name for name in counts if name.startswith("solver.fail.")}
+    assert failures <= listed, failures - listed

@@ -4,7 +4,7 @@
 generated transcripts through it, as a live completion, under every prompt
 variant, and require an `EvalRecord` within 1 s for each, with no exception
 escaping and a typed verdict: none that the last-resort handler made from an
-unexpected error.
+unexpected error.  Beneath them, the solver fails only as a `SolverError`.
 """
 
 import json
@@ -17,8 +17,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from declsolve.client import Live
 from declsolve.evaluation import VERDICTS, EvalRecord, Problem, RunConfig, run_problem
-from declsolve.parsing import MAX_NESTING
+from declsolve.parsing import MAX_NESTING, ParseError, ScriptError, script_from_transcript
 from declsolve.prompts import VARIANTS, spec_for_variant
+from declsolve.solver import SolverError, solve_script
 
 SPECS = {variant: spec_for_variant(variant) for variant in VARIANTS}
 CONFIG = RunConfig(model="contract-model")
@@ -84,6 +85,19 @@ def test_grammar_transcripts_become_records(variant, transcript):
     record_of(transcript, variant)
 
 
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grammar_transcripts())
+def test_a_parsed_script_solves_or_fails_as_a_solver_error(transcript):
+    try:
+        script = script_from_transcript(transcript)
+    except (ParseError, ScriptError):
+        return
+    try:
+        solve_script(script)
+    except SolverError:
+        pass
+
+
 # --- adversarial transcripts --------------------------------------------------------
 
 
@@ -108,14 +122,15 @@ def numeral(digits, leading_zeros, decimals):
 
 # Equations the solver isolates: a constant power with no exact value, a
 # logarithm of a number past the float range, one to a base near 1, a
-# power past the degree bound, and an irrational root scaled past the
-# float range.
+# power past the degree bound, an irrational root scaled past the float
+# range, and exact and float roots, one of them past the float range.
 ISOLATION_PROBES = [
     "[[var a]] [[a + a = 2 ^ 2 ^ 10.1]] [[answer = a]]",
     "[[var x]] [[2 ^ x = 10 ^ 400]] [[answer = x]]",
     "[[var x]] [[1.0001 ^ x = 10 ^ 300]] [[answer = x]]",
     "[[var x]] [[x ^ 40 = 5]] [[answer = x]]",
     "[[var x]] [[var y]] [[x * x = 2]] [[y = x * 10 ^ 400]] [[answer = y]]",
+    "[[var x]] [[x * (x ^ 2 - 2) * (x - 10 ^ 400) = 0]] [[answer = x]]",
 ]
 
 adversarial_transcripts = st.one_of(
@@ -146,6 +161,7 @@ adversarial_transcripts = st.one_of(
 @example(ISOLATION_PROBES[2])
 @example(ISOLATION_PROBES[3])
 @example(ISOLATION_PROBES[4])
+@example(ISOLATION_PROBES[5])
 def test_adversarial_transcripts_become_records(variant, transcript):
     record_of(transcript, variant)
 

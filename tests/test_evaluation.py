@@ -21,11 +21,9 @@ from declsolve.evaluation import (
     Problem,
     RunConfig,
     UnparseableGoldError,
-    emit_report,
     extract_final_number,
     load_algebra,
     load_gsm8k,
-    report_from_records,
     run_eval,
     run_problem,
     score,
@@ -229,6 +227,17 @@ def test_run_problem_bounds_complex_and_huge_powers(tmp_path, transcript, verdic
     assert record.verdict == verdict
     if verdict == CORRECT:
         assert record.predicted == 9 and isinstance(record.predicted, Fraction)
+
+
+def test_run_problem_scores_a_float_against_gold_past_the_float_range(tmp_path):
+    """A gold answer may be past the float range; no float prediction is
+    within tolerance of it, so the record is a WrongAnswer with its script."""
+    problem = Problem("p1", "Q?", F(10**400))
+    mode = cassette_for(tmp_path, SPEC, [(problem.question, "[[var x]] [[x * x = 2]] [[answer = x]]")])
+    record = run_problem(problem, SPEC, CONFIG, mode)
+    assert record.verdict == WRONG_ANSWER and not record.any_candidate_correct
+    assert record.predicted == math.sqrt(2)
+    assert record.script is not None and record.outcome is not None
 
 
 def _polynomial_text(coefficients):
@@ -611,37 +620,17 @@ def test_any_candidate_rate_bounds_correct_rate(tmp_path):
 
 # --- report files ---------------------------------------------------------------------
 
-def test_report_from_records_rebuilds_partial_histogram(tmp_path):
-    mode = cassette_for(tmp_path, SPEC, COMPLETIONS)
-    out = tmp_path / "out"
-    run_eval(PROBLEMS, SPEC, mode, CONFIG, dataset_name="mini", out_dir=out)
-    path = out / "records.jsonl"
-    lines = path.read_text().splitlines()
-    truncated = tmp_path / "partial.jsonl"
-    truncated.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")  # meta + 2 records
-    partial = report_from_records(truncated)
-    assert partial.total == 2
-    assert partial.histogram[CORRECT] == 1
-    assert partial.histogram[WRONG_ANSWER] == 1
-    assert partial.variant == SPEC.variant
-    assert partial.dataset == "mini"
-
-
-def test_reemitting_from_records_matches_original_summary(tmp_path):
+def test_streamed_records_write_floats_as_numbers_and_exact_values_as_strings(tmp_path):
     irrational = Problem("p4", "Root?", F(1))  # answered by a float
     completions = [*COMPLETIONS, (irrational.question, "[[var x]] [[x * x = 2]] [[answer = x]]")]
     mode = cassette_for(tmp_path, SPEC, completions)
     out = tmp_path / "out"
     run_eval([*PROBLEMS, irrational], SPEC, mode, CONFIG, dataset_name="mini", out_dir=out)
-    rebuilt = report_from_records(out / "records.jsonl")
-    assert rebuilt.records[-1].predicted == math.sqrt(2)
-    assert rebuilt.records[-1].outcome.candidates == (-math.sqrt(2), math.sqrt(2))
-    redo = tmp_path / "redo"
-    emit_report(rebuilt, redo)
-    assert (redo / "summary.csv").read_bytes() == (out / "summary.csv").read_bytes()
-    assert (redo / "report.txt").read_bytes() == (out / "report.txt").read_bytes()
-    streamed = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()[1:]
-    assert [
-        json.dumps(ev.record_to_json(record), sort_keys=True, ensure_ascii=False)
-        for record in rebuilt.records
-    ] == streamed
+    streamed = (out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    exact, rounded = json.loads(streamed[1]), json.loads(streamed[-1])
+    assert rounded["id"] == "p4" and rounded["verdict"] == WRONG_ANSWER
+    assert rounded["predicted"] == math.sqrt(2) and type(rounded["predicted"]) is float
+    assert rounded["candidates"] == [-math.sqrt(2), math.sqrt(2)]
+    assert all(type(value) is float for value in rounded["candidates"])
+    assert exact["verdict"] == CORRECT
+    assert exact["predicted"] == "14" and exact["candidates"] == ["14"]

@@ -18,7 +18,6 @@ from declsolve.prompts import (
     PromptSpec,
     assemble_prompt,
     default_exemplar_path,
-    dump_exemplars,
     load_exemplars,
     parse_exemplars,
     principles_header_text,
@@ -186,10 +185,8 @@ def test_load_exemplars_validates_scripts(tmp_path):
     assert len(load_exemplars(bad, require_scripts=False)) == 1
 
 
-def test_dump_then_load_round_trips(tmp_path):
-    path = tmp_path / "exemplars.txt"
-    dump_exemplars(path, [EX, EX])
-    assert load_exemplars(path) == [EX, EX]
+def test_render_then_parse_round_trips():
+    assert parse_exemplars(render_exemplars([EX, EX])) == [EX, EX]
 
 
 @given(

@@ -900,7 +900,8 @@ def test_solve_system_folds_constant_fractional_powers():
     # 0.08333 is 8333/100000: a root degree over MAX_EXPONENT.
     with pytest.raises(NumericDivergenceError, match="exceeds the supported magnitude"):
         solve_script(script_from_transcript("[[var p]] [[p * 1.05 ^ 0.08333 = 1000]] [[answer = p]]"))
-    with pytest.raises(ExprError):  # as forward substitution finds it
+    # Forward substitution meets the same power, and fails with the same type.
+    with pytest.raises(NumericDivergenceError, match="exceeds the supported magnitude"):
         solve_script(script_from_transcript("[[var p]] [[p = 1000 / 1.05 ^ 0.08333]] [[answer = p]]"))
 
 
@@ -914,6 +915,17 @@ def test_solve_system_quadratic_branching_through_linear():
     assert outcome.selected == F(6)
     assert any(step.startswith("quadratic:") for step in outcome.trace)
     assert any(step.startswith("branch:") for step in outcome.trace)
+
+
+def test_candidates_past_the_float_range_stay_apart_from_float_candidates():
+    """An exact root past the float range is near no float root, so every
+    root is kept, and the exact ones stay exact."""
+    outcome = solve_script(
+        script_from_transcript("[[var x]] [[x * (x ^ 2 - 2) * (x - 10 ^ 400) = 0]] [[answer = x]]")
+    )
+    assert outcome.candidates == (-math.sqrt(2), F(0), math.sqrt(2), F(10**400))
+    assert isinstance(outcome.candidates[-1], F)
+    assert outcome.selected == 0 and isinstance(outcome.selected, F)
 
 
 SQRT2 = math.sqrt(2)
