@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .client import DEFAULT_CREDENTIAL_ENV, DEFAULT_TIMEOUT, ClientError, Live, Replay
 from .evaluation import (
+    DatasetError,
     Problem,
     RunConfig,
     load_algebra,
@@ -49,7 +50,10 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as err:
+            raise SystemExit(f"config: {path} is not JSON ({err})")
 
 
 def _run_config(args: argparse.Namespace, config: dict) -> RunConfig:
@@ -67,14 +71,17 @@ def _client_mode(args: argparse.Namespace, config: dict):
     mode_name = args.mode or ("replay" if args.cassette else "live")
     if mode_name != "live" and not args.cassette:
         raise SystemExit(f"{mode_name} mode requires --cassette")
-    if mode_name == "replay":
-        return Replay(args.cassette)
-    return Live(
-        endpoint=endpoint,
-        cassette_path=args.cassette if mode_name == "record" else None,
-        credential_env=config.get("credential_env", DEFAULT_CREDENTIAL_ENV),
-        timeout=config.get("timeout", DEFAULT_TIMEOUT),
-    )
+    try:
+        if mode_name == "replay":
+            return Replay(args.cassette)
+        return Live(
+            endpoint=endpoint,
+            cassette_path=args.cassette if mode_name == "record" else None,
+            credential_env=config.get("credential_env", DEFAULT_CREDENTIAL_ENV),
+            timeout=config.get("timeout", DEFAULT_TIMEOUT),
+        )
+    except ValueError as err:  # the mode reads its cassette as it is made
+        raise SystemExit(f"cassette: {err}")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -222,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     except ClientError as err:
         print(f"client error: {err}", file=sys.stderr)
         return 1
-    except FileExistsError as err:
+    except (DatasetError, OSError) as err:  # a bad or missing input file, an existing output
         print(str(err), file=sys.stderr)
         return 1
 

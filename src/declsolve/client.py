@@ -10,6 +10,9 @@ Two modes:
 - Replay: serve completions from a cassette file; never touches the
   network (no endpoint is even configured).
 
+A mode reads its cassette once, when it is made, and holds it; a run's
+workers share the mode, its cassette and the cassette's append lock.
+
 A cassette is newline-delimited JSON, one ``{fingerprint, model, params,
 completion}`` record per line, optionally preceded by a single
 ``{"metadata": {...}}`` header line.  The fingerprint is a SHA-256 over a
@@ -104,6 +107,7 @@ def fingerprint(req: CompletionRequest) -> str:
 class Cassette:
     entries: dict[str, str] = field(default_factory=dict)
     metadata: dict[str, Any] = field(default_factory=dict)
+    lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "Cassette":
@@ -114,18 +118,18 @@ class Cassette:
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
-                if "fingerprint" in record:
-                    # First write wins: entries are immutable once recorded.
-                    entries.setdefault(record["fingerprint"], record["completion"])
-                elif "metadata" in record and lineno == 1:
-                    metadata = record["metadata"]
-                else:
-                    raise ValueError(f"{path}:{lineno}: unrecognized cassette line")
+                try:
+                    record = json.loads(line)
+                    if "fingerprint" in record:
+                        # First write wins: entries are immutable once recorded.
+                        entries.setdefault(record["fingerprint"], record["completion"])
+                    elif "metadata" in record and lineno == 1:
+                        metadata = record["metadata"]
+                    else:
+                        raise ValueError("neither a recorded completion nor the header")
+                except (ValueError, TypeError, KeyError) as err:  # JSONDecodeError is a ValueError
+                    raise ValueError(f"{path}:{lineno}: unrecognized cassette line") from err
         return cls(entries, metadata)
-
-    def lookup(self, digest: str) -> str | None:
-        return self.entries.get(digest)
 
 
 def write_cassette(path: str | Path, cassette: Cassette) -> None:
@@ -158,6 +162,16 @@ def append_record(path: str | Path, req: CompletionRequest, completion: str) -> 
 # --------------------------------------------------------------------------
 # Modes
 
+def _open_cassette(mode: Live | Replay) -> None:
+    """Read the mode's cassette once, as the mode is made: the file, an
+    empty cassette where none exists yet, or None without a path."""
+    try:
+        cassette = None if mode.cassette_path is None else Cassette.load(mode.cassette_path)
+    except FileNotFoundError:
+        cassette = Cassette()
+    object.__setattr__(mode, "cassette", cassette)
+
+
 @dataclass(frozen=True)
 class Live:
     """Call the endpoint.  With a cassette, record through it: serve
@@ -167,6 +181,9 @@ class Live:
     cassette_path: str | None = None
     credential_env: str = DEFAULT_CREDENTIAL_ENV
     timeout: float = DEFAULT_TIMEOUT
+    cassette: Cassette | None = field(init=False, compare=False, repr=False)
+
+    __post_init__ = _open_cassette
 
 
 # The same class under its old name.  The benchmark's record-resume workload
@@ -178,6 +195,9 @@ RecordThrough = Live
 @dataclass(frozen=True)
 class Replay:
     cassette_path: str
+    cassette: Cassette = field(init=False, compare=False, repr=False)
+
+    __post_init__ = _open_cassette
 
 
 ClientMode = Live | Replay
@@ -201,47 +221,10 @@ def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) 
     return response.status_code, response.text
 
 
-# Cassette cache / per-path locks, so concurrent workers share one parsed
-# cassette and record-through appends stay serialized.  Both are keyed by
-# the resolved path, so every spelling of one file shares them.
-_CACHE_LOCK = threading.Lock()
-_CASSETTE_CACHE: dict[Path, Cassette] = {}
-_WRITER_LOCKS: dict[Path, threading.Lock] = {}
-# Path.resolve stats every component; resolve each spelling once per
-# working directory, since a relative one names another file after a chdir.
-# Two workers racing on a new key only resolve it twice, to the same path.
-_RESOLVED: dict[tuple[str, str], Path] = {}
-
-
-def _resolve(path: str | Path) -> Path:
-    key = (os.getcwd(), str(path))
-    resolved = _RESOLVED.get(key)
-    if resolved is None:
-        resolved = _RESOLVED[key] = Path(path).resolve()
-    return resolved
-
-
-def _cassette_for(path: str | Path) -> Cassette:
-    resolved = _resolve(path)
-    with _CACHE_LOCK:
-        cached = _CASSETTE_CACHE.get(resolved)
-        if cached is None:
-            cached = Cassette.load(resolved) if resolved.exists() else Cassette()
-            _CASSETTE_CACHE[resolved] = cached
-        return cached
-
-
-def _writer_lock(path: str | Path) -> threading.Lock:
-    resolved = _resolve(path)
-    with _CACHE_LOCK:
-        return _WRITER_LOCKS.setdefault(resolved, threading.Lock())
-
-
 def forget_cassette(path: str | Path) -> None:
-    """Drop a cached cassette (tests touch cassette files directly)."""
-    resolved = _resolve(path)
-    with _CACHE_LOCK:
-        _CASSETTE_CACHE.pop(resolved, None)
+    """Does nothing: a mode reads its cassette when it is made.  It stays
+    only because the benchmark (bench/child.py) still calls it, and goes
+    with the next change to bench/, as RecordThrough will."""
 
 
 def _credential(env_name: str) -> str | None:
@@ -311,25 +294,25 @@ def complete(
     A cassette, Replay's or a recording Live's, is looked up first.  Replay
     performs a pure lookup — no transport is constructed and no network name
     is ever resolved.  Live records fresh completions on its cassette, if it
-    has one, under a per-file writer lock; recording is idempotent.
+    has one, under the cassette's lock; recording is idempotent.
     """
     if not isinstance(mode, (Live, Replay)):
         raise TypeError(f"unknown client mode: {mode!r}")
 
-    if mode.cassette_path is not None:
+    cassette = mode.cassette
+    if cassette is not None:
         digest = fingerprint(req)
-        cassette = _cassette_for(mode.cassette_path)
-        recorded = cassette.lookup(digest)
+        recorded = cassette.entries.get(digest)
         if recorded is not None:
             return recorded
         if isinstance(mode, Replay):
             raise CassetteMissError(digest)
 
     completion = _live_call(req, mode, transport or _requests_transport, sleep)
-    if mode.cassette_path is not None:
-        with _writer_lock(mode.cassette_path):
+    if cassette is not None:
+        with cassette.lock:
             # Re-check under the lock: another worker may have recorded it.
-            if cassette.lookup(digest) is None:
+            if cassette.entries.get(digest) is None:
                 append_record(mode.cassette_path, req, completion)
                 cassette.entries[digest] = completion
     return completion

@@ -163,7 +163,7 @@ def load_gsm8k(path: str | Path) -> list[Problem]:
     """
     problems: list[Problem] = []
     for problem_id, record in _jsonl_records(path, "gsm8k"):
-        answer_text = record["answer"]
+        answer_text = str(record["answer"])
         marker = answer_text.rfind("####")
         if marker < 0:
             raise MissingMarkerError(problem_id)
@@ -198,12 +198,18 @@ def load_algebra(path: str | Path) -> list[Problem]:
 
 def _jsonl_records(path: str | Path, id_prefix: str) -> Iterator[tuple[str, dict]]:
     """Each record of a JSONL file with its id: its own `id` field, else
-    `<id_prefix>-NNNN` for its line index, blank lines counted."""
+    `<id_prefix>-NNNN` for its line index, blank lines counted.  A line that
+    is not a JSON object with `question` and `answer` is a DatasetError."""
     with open(path, encoding="utf-8") as handle:
         for index, line in enumerate(handle):
             line = line.strip()
             if line:
-                record = json.loads(line)
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise DatasetError(f"{path}:{index + 1}: not JSON ({err})") from None
+                if not isinstance(record, dict) or not {"question", "answer"} <= record.keys():
+                    raise DatasetError(f"{path}:{index + 1}: a record needs 'question' and 'answer'")
                 yield str(record.get("id", f"{id_prefix}-{index:04d}")), record
 
 

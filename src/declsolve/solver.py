@@ -469,10 +469,10 @@ def _merge_candidate(collected: list[Value], value: Value) -> None:
                 return
             continue
         try:
-            gap = abs(float(existing) - float(value))
+            a, b = float(existing), float(value)
         except OverflowError:  # an exact value past the float range is near no float
             continue
-        if gap <= ROOT_DEDUPE_TOLERANCE:
+        if abs(a - b) <= ROOT_DEDUPE_TOLERANCE * max(abs(a), abs(b)):  # relative: tiny roots stay two
             # Keep the exact representative when the two coincide.
             if isinstance(value, Fraction) and isinstance(existing, float):
                 collected[i] = value

@@ -199,6 +199,62 @@ def test_eval_rejects_bad_config_value_in_one_line(tmp_path, bad, message):
     assert not (tmp_path / "out").exists()
 
 
+GOOD_LINE = '{"question": "Two and two?", "answer": "#### 4"}'
+
+BAD_INPUTS = {
+    # probe: (files to write, extra eval flags, what the one stderr line says)
+    "missing-dataset": ({}, [], "No such file or directory: 'problems.jsonl'"),
+    "dataset-line-not-json": (
+        {"problems.jsonl": f"{GOOD_LINE}\nnot json\n"}, [], "problems.jsonl:2: not JSON"
+    ),
+    "record-without-answer": (
+        {"problems.jsonl": '{"question": "Q?"}\n'}, [],
+        "problems.jsonl:1: a record needs 'question' and 'answer'",
+    ),
+    "answer-without-marker": (
+        {"problems.jsonl": '{"question": "Q?", "answer": "4"}\n'}, [],
+        "gsm8k-0000: answer text has no '####' marker",
+    ),
+    "answer-not-text": (
+        {"problems.jsonl": '{"question": "Q?", "answer": 4}\n'}, [],
+        "gsm8k-0000: answer text has no '####' marker",
+    ),
+    "duplicate-ids": (
+        {"problems.jsonl": '{"id": "a", "question": "Q?", "answer": "#### 4"}\n' * 2}, [],
+        "problems.jsonl: duplicate problem id 'a'",
+    ),
+    "config-not-json": (
+        {"problems.jsonl": GOOD_LINE + "\n", "config.json": "{model: x"}, ["--config", "config.json"],
+        "config: config.json is not JSON",
+    ),
+    "malformed-cassette": (
+        {"problems.jsonl": GOOD_LINE + "\n", "c.jsonl": '{"neither": 1}\n'}, [],
+        "cassette: c.jsonl:1: unrecognized cassette line",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", BAD_INPUTS)
+def test_eval_bad_input_file_fails_in_one_line(tmp_path, probe):
+    """A bad dataset, config or cassette is reported in one stderr line with
+    exit status 1, never as a traceback, and no report is written."""
+    files, extra, message = BAD_INPUTS[probe]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = ["eval", "--dataset", "problems.jsonl", "--format", "gsm8k",
+            "--cassette", "c.jsonl", "--out", "out", *extra]
+    src = Path(declsolve.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "declsolve.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr, proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # --- console script --------------------------------------------------------
 
 def _declared_script(name):

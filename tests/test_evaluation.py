@@ -396,13 +396,15 @@ def test_run_eval_turns_any_error_after_the_completion_into_a_verdict(tmp_path, 
 
 def test_run_problem_lets_a_malformed_cassette_abort_the_run(tmp_path):
     """Only a ClientError from the completion is a verdict: a cassette line
-    of no known shape is a fault of the run, not of the problem."""
+    of no known shape is a fault of the run, not of the problem, and the
+    mode that reads the cassette refuses it before any problem runs."""
     problem = Problem("p1", "Three packs of 4 plus 2?", F(14))
-    mode = cassette_for(tmp_path, SPEC, [(problem.question, GOOD)])
+    cassette_for(tmp_path, SPEC, [(problem.question, GOOD)])
     with open(tmp_path / "cassette.jsonl", "a", encoding="utf-8") as handle:
         handle.write('{"neither": 1}\n')
-    with pytest.raises(ValueError):
-        run_problem(problem, SPEC, CONFIG, mode)
+    with pytest.raises(ValueError, match="unrecognized cassette line"):
+        Replay(str(tmp_path / "cassette.jsonl"))
+
 
 def test_run_problem_client_failure(tmp_path):
     problem = Problem("p1", "not in cassette", F(1))

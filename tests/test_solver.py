@@ -928,6 +928,22 @@ def test_candidates_past_the_float_range_stay_apart_from_float_candidates():
     assert outcome.selected == 0 and isinstance(outcome.selected, F)
 
 
+def test_roots_closer_than_the_tolerance_stay_apart():
+    """Roots are merged by their gap relative to their size, so two roots
+    of magnitude below ROOT_DEDUPE_TOLERANCE stay two, and the positive one
+    is selected; a rounded root still merges with its own rounding."""
+    outcome = solve_script(
+        script_from_transcript("[[var x]] [[x * x = 0.000000000000000002]] [[answer = x]]")
+    )
+    root = math.sqrt(2) * 1e-9
+    assert outcome.candidates == pytest.approx((-root, root), rel=1e-12)
+    assert outcome.selected == pytest.approx(root, rel=1e-12)
+    outcome = solve_script(
+        script_from_transcript("[[var x]] [[var y]] [[x ^ 2 = 2]] [[y = x * x]] [[answer = y]]")
+    )
+    assert outcome.candidates == (2.0000000000000004,)
+
+
 SQRT2 = math.sqrt(2)
 
 

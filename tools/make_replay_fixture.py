@@ -29,7 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from declsolve.client import CompletionRequest, Replay, append_record  # noqa: E402
+from declsolve.client import Cassette, CompletionRequest, Replay, append_record, write_cassette  # noqa: E402
 from declsolve.evaluation import RunConfig, load_gsm8k, run_eval  # noqa: E402
 from declsolve.prompts import assemble_prompt, default_exemplar_path, spec_for_variant  # noqa: E402
 
@@ -297,10 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     cassette_path = out_root / "cassette.jsonl"
-    cassette_path.write_text(
-        json.dumps({"metadata": metadata}, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_cassette(cassette_path, Cassette(metadata=metadata))
     for _, question, _, completion, _ in FIXTURE_ROWS:
         if completion is None:
             continue
