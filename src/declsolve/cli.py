@@ -51,9 +51,12 @@ def _load_config(path: str | None) -> dict:
         return {}
     with open(path, encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            config = json.load(handle)
         except json.JSONDecodeError as err:
             raise SystemExit(f"config: {path} is not JSON ({err})")
+    if not isinstance(config, dict):
+        raise SystemExit(f"config: {path} must hold a JSON object")
+    return config
 
 
 def _run_config(args: argparse.Namespace, config: dict) -> RunConfig:
@@ -175,7 +178,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {count}")
@@ -207,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("eval", parents=[shared], help="evaluate a dataset and write reports")
     evaluate.add_argument("--dataset", required=True, help="dataset file path")
     evaluate.add_argument("--format", choices=["gsm8k", "algebra"], required=True)
-    evaluate.add_argument("--workers", type=int, default=1)
-    evaluate.add_argument("--runs", type=_run_count, default=1)
+    evaluate.add_argument("--workers", type=_at_least_one, default=1)
+    evaluate.add_argument("--runs", type=_at_least_one, default=1)
     evaluate.add_argument("--out", required=True, help="report output directory")
     evaluate.add_argument("--force", action="store_true", help="overwrite existing records")
     evaluate.add_argument("--dataset-name", help="label used in reports (default: file stem)")

@@ -227,10 +227,6 @@ def forget_cassette(path: str | Path) -> None:
     with the next change to bench/, as RecordThrough will."""
 
 
-def _credential(env_name: str) -> str | None:
-    return os.environ.get(env_name)
-
-
 def _live_call(
     req: CompletionRequest,
     mode: Live,
@@ -247,7 +243,7 @@ def _live_call(
     if req.stop_sequences:
         payload["stop"] = list(req.stop_sequences)
     headers = {"Content-Type": "application/json"}
-    key = _credential(mode.credential_env)
+    key = os.environ.get(mode.credential_env)
     if key:
         headers["Authorization"] = f"Bearer {key}"
 

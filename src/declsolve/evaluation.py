@@ -16,6 +16,7 @@ produced, so a crashed run keeps every record finished before the crash.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -184,7 +185,12 @@ def load_algebra(path: str | Path) -> list[Problem]:
     if path.suffix.lower() in (".csv", ".tsv"):
         dialect = "excel-tab" if path.suffix.lower() == ".tsv" else "excel"
         with open(path, encoding="utf-8", newline="") as handle:
-            for index, row in enumerate(csv.DictReader(handle, dialect=dialect)):
+            reader = csv.DictReader(handle, dialect=dialect)
+            if not {"question", "answer"} <= set(reader.fieldnames or ()):
+                raise DatasetError(f"{path}: a CSV needs 'question' and 'answer' columns")
+            for index, row in enumerate(reader):
+                if not row["question"] or not row["answer"]:
+                    raise DatasetError(f"{path}:{reader.line_num}: empty 'question' or 'answer' cell")
                 problem_id = str(row.get("id") or f"algebra-{index:04d}")
                 gold = _parse_gold(row["answer"], problem_id)
                 problems.append(Problem(problem_id, row["question"], gold))
@@ -384,12 +390,6 @@ def record_to_json(record: EvalRecord) -> dict[str, Any]:
 # --------------------------------------------------------------------------
 # Run orchestration
 
-def _spec_digest(spec: PromptSpec) -> str:
-    import hashlib
-
-    return hashlib.sha256(assemble_prompt(spec, "").encode("utf-8")).hexdigest()
-
-
 def _config_snapshot(spec: PromptSpec, config: RunConfig, dataset: str) -> dict[str, Any]:
     return {
         "variant": spec.variant,
@@ -397,7 +397,7 @@ def _config_snapshot(spec: PromptSpec, config: RunConfig, dataset: str) -> dict[
         "model": config.model,
         "params": config.params.as_dict(),
         "stop_sequences": list(config.stop_sequences),
-        "prompt_spec_sha256": _spec_digest(spec),
+        "prompt_spec_sha256": hashlib.sha256(assemble_prompt(spec, "").encode("utf-8")).hexdigest(),
         "seed": None,
     }
 

@@ -1,11 +1,11 @@
 """Arithmetic expression trees over exact rationals.
 
-Every value in the pipeline is a `fractions.Fraction` (aliased `Rational`),
-so evaluation, substitution and polynomial expansion never round.  Trees
-are immutable, so one node may sit in many trees: a parsed script shares
-one leaf per name or numeral text among all its equations.  Trees are never
-simplified on construction: `x + 0` stays `x + 0` so that parsed text
-round-trips exactly.  Simplification belongs to the solver.
+Every value in the pipeline is a `fractions.Fraction`, so evaluation,
+substitution and polynomial expansion never round.  Trees are immutable, so
+one node may sit in many trees: a parsed script shares one leaf per name or
+numeral text among all its equations.  Trees are never simplified on
+construction: `x + 0` stays `x + 0` so that parsed text round-trips exactly.
+Simplification belongs to the solver.
 
 Every pass over a tree (evaluation, substitution, expansion, rendering,
 comparison, hashing and the rest) is one walk: `postorder` lists the nodes,
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from typing import Any, Callable, Mapping, Sequence, Union
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 

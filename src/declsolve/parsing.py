@@ -388,13 +388,19 @@ class SolutionScript:
         return tuple(d.name for d in self.declarations if isinstance(d, VarDecl))
 
 
-def validate_declarations(decls: list[Declaration] | tuple[Declaration, ...]) -> None:
-    """Check introduction order, duplicates, and the reserved goal name.
+def build_script(decls: list[Declaration] | tuple[Declaration, ...]) -> SolutionScript:
+    """Validate a declaration sequence and assemble the script.
 
-    Valid for any prefix of a script (the goal declaration may be absent):
-    the incremental construction rule that every equation only uses
-    variables introduced before it.
+    Raises NoGoalError, GoalNotLastError, UndeclaredVariableError,
+    DuplicateDeclarationError, or ReservedIdentifierError.
     """
+    decls = tuple(decls)
+    goals = [(i, d) for i, d in enumerate(decls) if isinstance(d, GoalDecl)]
+    if not goals:
+        raise NoGoalError()
+    first_index, first_goal = goals[0]
+    if len(goals) > 1 or first_index != len(decls) - 1:
+        raise GoalNotLastError(first_goal.span)
     declared: set[str] = set()
     for decl in decls:
         if isinstance(decl, VarDecl):
@@ -413,22 +419,6 @@ def validate_declarations(decls: list[Declaration] | tuple[Declaration, ...]) ->
         elif isinstance(decl, GoalDecl):
             if decl.name not in declared:
                 raise UndeclaredVariableError(decl.name, decl.span)
-
-
-def build_script(decls: list[Declaration] | tuple[Declaration, ...]) -> SolutionScript:
-    """Validate a declaration sequence and assemble the script.
-
-    Raises NoGoalError, GoalNotLastError, UndeclaredVariableError,
-    DuplicateDeclarationError, or ReservedIdentifierError.
-    """
-    decls = tuple(decls)
-    goals = [(i, d) for i, d in enumerate(decls) if isinstance(d, GoalDecl)]
-    if not goals:
-        raise NoGoalError()
-    first_index, first_goal = goals[0]
-    if len(goals) > 1 or first_index != len(decls) - 1:
-        raise GoalNotLastError(first_goal.span)
-    validate_declarations(decls)
     return SolutionScript(decls, first_goal.name)
 
 

@@ -141,19 +141,20 @@ class PromptSpec:
             raise ValueError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        if self.variant == VARIANT_ONE_STEP:
-            for i, ex in enumerate(self.exemplars):
+        # One-step exemplars hold one bare equation; the others, full scripts.
+        for i, ex in enumerate(self.exemplars):
+            if self.variant == VARIANT_ONE_STEP:
                 brackets = extract_brackets(ex.solution)
                 if len(brackets) != 1:
                     raise ValueError(
                         f"one-step exemplar {i} must contain exactly one"
                         f" bracketed declaration, found {len(brackets)}"
                     )
-
-
-def principles_header_text() -> str:
-    """The numbered formalization rules, byte-stable across calls."""
-    return _PRINCIPLES_HEADER
+            else:
+                try:
+                    script_from_transcript(ex.solution)
+                except (ParseError, ScriptError) as err:
+                    raise InvalidExemplarScript(i, err) from err
 
 
 def assemble_prompt(spec: PromptSpec, question: str) -> str:
@@ -228,36 +229,10 @@ def parse_exemplars(text: str) -> list[Exemplar]:
     return exemplars
 
 
-def render_exemplars(exemplars: list[Exemplar] | tuple[Exemplar, ...]) -> str:
-    parts = []
-    for ex in exemplars:
-        parts.append(f"{_QUESTION_SENTINEL}\n{ex.question}\n")
-        parts.append(f"{_SOLUTION_SENTINEL}\n{ex.solution}\n")
-    return "\n".join(parts)
-
-
-def validate_exemplar_scripts(exemplars: list[Exemplar]) -> None:
-    """Require every solution's brackets to build a valid script."""
-    for i, ex in enumerate(exemplars):
-        try:
-            script_from_transcript(ex.solution)
-        except (ParseError, ScriptError) as err:
-            raise InvalidExemplarScript(i, err) from err
-
-
-def load_exemplars(path: str | Path, *, require_scripts: bool = True) -> list[Exemplar]:
-    """Load exemplars from a sentinel-delimited file.
-
-    With ``require_scripts`` (the default, right for the declarative
-    variants) each solution must parse into a valid script.  One-step
-    exemplar files hold bare equations, not full scripts — load those with
-    ``require_scripts=False``.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    exemplars = parse_exemplars(text)
-    if require_scripts:
-        validate_exemplar_scripts(exemplars)
-    return exemplars
+def load_exemplars(path: str | Path) -> list[Exemplar]:
+    """Load exemplars from a sentinel-delimited file.  A PromptSpec checks
+    their solutions against its variant."""
+    return parse_exemplars(Path(path).read_text(encoding="utf-8"))
 
 
 def default_exemplar_path(variant: str) -> Path:
@@ -270,8 +245,4 @@ def default_exemplar_path(variant: str) -> Path:
 
 def spec_for_variant(variant: str) -> PromptSpec:
     """A ready-to-use PromptSpec with the variant's packaged exemplars."""
-    exemplars = load_exemplars(
-        default_exemplar_path(variant),
-        require_scripts=variant != VARIANT_ONE_STEP,
-    )
-    return PromptSpec(variant, tuple(exemplars))
+    return PromptSpec(variant, tuple(load_exemplars(default_exemplar_path(variant))))

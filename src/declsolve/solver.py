@@ -53,7 +53,7 @@ from .exprs import (
     rational_log,
     substitute,
 )
-from .parsing import SolutionScript, VarDecl
+from .parsing import SolutionScript
 from .roots import IsolationError, real_roots
 
 Equation = tuple[Expr, Expr]
@@ -139,15 +139,10 @@ class EquationSystem:
 
     @classmethod
     def from_script(cls, script: SolutionScript) -> "EquationSystem":
-        unknowns = frozenset(
-            d.name for d in script.declarations if isinstance(d, VarDecl)
-        )
         equations = script.equations
-        if script.goal not in unknowns:
-            raise ValueError(f"goal '{script.goal}' is not an unknown")
         return cls(
             tuple((d.lhs, d.rhs) for d in equations),
-            unknowns,
+            frozenset(script.variables),
             script.goal,
             tuple((frozenset(d.lhs_names), frozenset(d.rhs_names)) for d in equations),
         )
@@ -327,8 +322,11 @@ def _coefficients(terms: Terms, var: str) -> list[int]:
 
 
 def _solve_univariate(equation: Equation, var: str) -> tuple[list[Value], str]:
-    """Roots of a single-unknown equation plus the method label used.  A
-    residual that is not rational is first peeled by `_isolate`."""
+    """Real roots of a single-unknown equation plus the method label used:
+    every real root but the poles of a rational equation of degree 1 to 32,
+    cleared of denominators, exact (Fraction) where rational and otherwise
+    correctly rounded (float).  A residual that is not rational is first
+    peeled by `_isolate`."""
     part, values, inverted = equation[0] - equation[1], [(Fraction(0), False)], False
     roots: list[Value] = []
     try:
@@ -415,18 +413,6 @@ def _inverse(kind: type, on_left: bool, value: Fraction, c: Fraction, approx: bo
         return [(sign * root, approx) for sign in ((-1, 1) if even and root else (-1 if value < 0 else 1,))]
     except ZeroDivisionError:  # no real operand gives `value`
         return []
-
-
-def solve_univariate(equation: Equation, var: str) -> list[Value]:
-    """Real roots, exact (Fraction) where possible, else approximate (float):
-    every real root but the poles of a rational equation of degree 1 to 32,
-    cleared of denominators, or of the rational part `_isolate` peels from
-    any other equation (rational roots exactly, others correctly rounded)."""
-    stray = (free_vars(equation[0]) | free_vars(equation[1])) - {var}
-    if stray:
-        raise ValueError(f"equation is not univariate in '{var}': {sorted(stray)}")
-    roots, _ = _solve_univariate(equation, var)
-    return roots
 
 
 # --------------------------------------------------------------------------

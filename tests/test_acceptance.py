@@ -6,6 +6,7 @@ Each test prints exactly one `[acceptance] <criterion>: PASS|FAIL` line
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import random
@@ -15,13 +16,16 @@ from pathlib import Path
 
 import pytest
 
+import declsolve
 import declsolve.evaluation as ev
+from declsolve import solver
 from declsolve.client import CompletionRequest, Live, Replay, append_record, fingerprint
 from declsolve.evaluation import RunConfig, load_gsm8k, run_eval, run_problem
 from declsolve.exprs import Add, Div, Mul, Neg, Num, Pow, Sub, Var, render
 from declsolve.parsing import check_transcript, parse_expression
 from declsolve.prompts import (
     VARIANT_LLM_SOLVES,
+    VARIANT_ONE_STEP,
     VARIANT_PRINCIPLES,
     VARIANTS,
     Exemplar,
@@ -29,12 +33,16 @@ from declsolve.prompts import (
     assemble_prompt,
     spec_for_variant,
 )
-from declsolve.solver import EquationSystem, solve_linear, solve_univariate
+from declsolve.solver import EquationSystem, solve_linear
 
 from test_principle_fixtures import FIXTURES
 
 F = Fraction
 REPLAY_DIR = Path(__file__).parent / "data" / "replay"
+
+
+def univariate_roots(equation, var: str) -> list:
+    return solver._solve_univariate(equation, var)[0]
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -107,7 +115,7 @@ def test_univariate_root_suite():
             r2 = F(rng.randint(-30, 30), rng.randint(1, 9))
         a = F(rng.choice([1, 2, 3, -1, -2, 5]))
         c2, c1, c0 = a, -a * (r1 + r2), a * r1 * r2
-        roots = solve_univariate((_quadratic_expr(c2, c1, c0), Num(0)), "x")
+        roots = univariate_roots((_quadratic_expr(c2, c1, c0), Num(0)), "x")
         if sorted(roots) != sorted([r1, r2]) or not all(
             isinstance(r, Fraction) for r in roots
         ):
@@ -126,7 +134,7 @@ def test_univariate_root_suite():
         if math.isqrt(root) ** 2 == root:
             continue  # rational roots; we want irrational here
         produced += 1
-        roots = solve_univariate((_quadratic_expr(c2, c1, c0), Num(0)), "x")
+        roots = univariate_roots((_quadratic_expr(c2, c1, c0), Num(0)), "x")
         for r in roots:
             residual = abs(float(c2) * r * r + float(c1) * r + float(c0))
             if residual >= 1e-9:
@@ -241,11 +249,13 @@ def test_end_to_end_replay_is_byte_golden(tmp_path):
 # --- criterion: variant distinctness + solver bypass ---------------------------------------
 
 def test_variant_distinctness_and_solver_bypass(tmp_path, monkeypatch):
-    shared = (Exemplar("One and one?", "The pair is [[pair = 1 + 1]]."),)
+    # the script variants share one script; one-step takes a single equation
+    shared = (Exemplar("One and one?", "The pair [[var pair]] is [[pair = 1 + 1]], so [[answer = pair]]."),)
+    single = (Exemplar("One and one?", "The pair is [[pair = 1 + 1]]."),)
     config = RunConfig(model="m")
     digests = set()
     for variant in VARIANTS:
-        spec = PromptSpec(variant, shared)
+        spec = PromptSpec(variant, single if variant == VARIANT_ONE_STEP else shared)
         prompt = assemble_prompt(spec, "Fixed question?")
         digests.add(
             fingerprint(CompletionRequest("m", prompt, config.params, config.stop_sequences))
@@ -335,4 +345,23 @@ def test_live_path_produces_table_shaped_report(tmp_path):
         "live-endpoint-path-table-shaped-report",
         wire_ok and shape_ok,
         f"rate {report.solve_rate:.1f}",
+    )
+
+
+# --- criterion: the export list is the package's public surface -----------------------------
+
+def test_export_list_matches_public_names():
+    exported = declsolve.__all__
+    unresolved = [name for name in exported if not hasattr(declsolve, name)]
+    unlisted = sorted(
+        name
+        for name, value in vars(declsolve).items()
+        if not name.startswith("_")
+        and (inspect.isclass(value) or inspect.isfunction(value))
+        and name not in exported
+    )
+    _verdict(
+        "export-list-matches-public-names",
+        not unresolved and not unlisted and len(set(exported)) == len(exported),
+        f"unresolved: {unresolved or 'none'}, unlisted: {unlisted or 'none'}",
     )

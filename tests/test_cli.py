@@ -157,11 +157,12 @@ def test_eval_runs_repeats_and_summarizes(tmp_path, capsys):
     assert (tmp_path / "out" / "run-2" / "report.txt").exists()
 
 
-def test_eval_rejects_fewer_than_one_run(tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--runs", "--workers"])
+def test_eval_rejects_a_count_below_one(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exit_info:
-        main(_eval_args(tmp_path / "out", ["--runs", "0"]))
+        main(_eval_args(tmp_path / "out", [flag, "0"]))
     assert exit_info.value.code == 2
-    assert "--runs: must be at least 1, not 0" in capsys.readouterr().err
+    assert f"{flag}: must be at least 1, not 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -226,6 +227,18 @@ BAD_INPUTS = {
     "config-not-json": (
         {"problems.jsonl": GOOD_LINE + "\n", "config.json": "{model: x"}, ["--config", "config.json"],
         "config: config.json is not JSON",
+    ),
+    "config-not-an-object": (
+        {"problems.jsonl": GOOD_LINE + "\n", "config.json": "[1]"}, ["--config", "config.json"],
+        "config: config.json must hold a JSON object",
+    ),
+    "algebra-csv-without-answer-column": (
+        {"problems.csv": "question,gold\nQ?,4\n"}, ["--format", "algebra", "--dataset", "problems.csv"],
+        "problems.csv: a CSV needs 'question' and 'answer' columns",
+    ),
+    "algebra-row-without-answer-cell": (
+        {"problems.csv": "question,answer\nQ?,4\nR?\n"}, ["--format", "algebra", "--dataset", "problems.csv"],
+        "problems.csv:3: empty 'question' or 'answer' cell",
     ),
     "malformed-cassette": (
         {"problems.jsonl": GOOD_LINE + "\n", "c.jsonl": '{"neither": 1}\n'}, [],

@@ -11,6 +11,7 @@ from declsolve.prompts import (
     VARIANT_ONE_STEP,
     VARIANT_PRINCIPLES,
     VARIANTS,
+    _PRINCIPLES_HEADER,
     DecodingParams,
     Exemplar,
     FormatError,
@@ -20,8 +21,6 @@ from declsolve.prompts import (
     default_exemplar_path,
     load_exemplars,
     parse_exemplars,
-    principles_header_text,
-    render_exemplars,
     spec_for_variant,
 )
 
@@ -66,9 +65,8 @@ def test_assemble_no_exemplars_no_header():
 def test_assemble_blocks_in_order():
     spec = PromptSpec(VARIANT_PRINCIPLES, (EX,))
     prompt = assemble_prompt(spec, "How many?")
-    header = principles_header_text()
-    assert prompt.startswith(header + "\n\n")
-    assert prompt.index(header) < prompt.index(EX.question) < prompt.index("How many?")
+    assert prompt.startswith(_PRINCIPLES_HEADER + "\n\n")
+    assert prompt.index(_PRINCIPLES_HEADER) < prompt.index(EX.question) < prompt.index("How many?")
     assert prompt.endswith("Question: How many?\n\nSolution:")
     # exemplar solutions sit after a "Solution: " prefix
     assert f"Solution: {EX.solution}" in prompt
@@ -96,23 +94,21 @@ def test_assembled_prompt_bytes_are_pinned(variant):
 
 
 def test_header_is_five_numbered_lines():
-    header = principles_header_text()
-    lines = header.splitlines()
+    lines = _PRINCIPLES_HEADER.splitlines()
     assert len(lines) == 5
     for i, line in enumerate(lines, start=1):
         assert line.startswith(f"{i}. ")
     assert "answer" in lines[1]          # line 2 states the goal rule
     assert "number" in lines[4].lower()  # line 5 states the use-all-numbers rule
-    assert principles_header_text() == header
 
 
 def test_variants_produce_distinct_prompts_for_shared_exemplars():
-    # an exemplar set acceptable to every variant: single-declaration solutions
-    shared = (Exemplar("What is 1 plus 1?", "The sum is [[s = 1 + 1]]."),)
-    prompts = set()
-    for variant in VARIANTS:
-        spec = PromptSpec(variant, shared)
-        prompts.add(assemble_prompt(spec, "Same question?"))
+    # the script variants share one script; one-step takes a single equation
+    single = (Exemplar("What is 1 plus 1?", "The sum is [[s = 1 + 1]]."),)
+    prompts = {
+        assemble_prompt(PromptSpec(variant, single if variant == VARIANT_ONE_STEP else (EX,)), "Same question?")
+        for variant in VARIANTS
+    }
     assert len(prompts) == 4
 
 
@@ -171,22 +167,21 @@ def test_parse_exemplars_rejects_empty_and_malformed():
         parse_exemplars("=== QUESTION ===\nQ\n=== SOLUTION ===\n\n")
 
 
-def test_load_exemplars_validates_scripts(tmp_path):
+def test_promptspec_checks_exemplar_scripts_by_variant(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text(
         "=== QUESTION ===\nQ?\n=== SOLUTION ===\n"
         "Uses y before declaring: [[var x]] [[x = y]] [[answer = x]]\n",
         encoding="utf-8",
     )
-    with pytest.raises(InvalidExemplarScript) as info:
-        load_exemplars(bad)
-    assert info.value.index == 0
-    # without validation the same file loads
-    assert len(load_exemplars(bad, require_scripts=False)) == 1
-
-
-def test_render_then_parse_round_trips():
-    assert parse_exemplars(render_exemplars([EX, EX])) == [EX, EX]
+    (loaded,) = load_exemplars(bad)  # loading checks no script
+    bare = Exemplar("Q?", "So [[total = 1 + 1]].")
+    PromptSpec(VARIANT_ONE_STEP, (bare,))
+    for variant in (VARIANT_DECLARATIVE, VARIANT_PRINCIPLES, VARIANT_LLM_SOLVES):
+        for exemplar in (loaded, bare):
+            with pytest.raises(InvalidExemplarScript) as info:
+                PromptSpec(variant, (EX, exemplar))
+            assert info.value.index == 1
 
 
 @given(
@@ -206,7 +201,8 @@ def test_render_then_parse_round_trips():
     )
 )
 def test_exemplar_text_round_trip_property(exemplars):
-    assert parse_exemplars(render_exemplars(exemplars)) == exemplars
+    text = "".join(f"=== QUESTION ===\n{ex.question}\n=== SOLUTION ===\n{ex.solution}\n" for ex in exemplars)
+    assert parse_exemplars(text) == exemplars
 
 
 # --- the shipped exemplar sets ---------------------------------------------------

@@ -39,10 +39,13 @@ from declsolve.solver import (
     solve_linear,
     solve_script,
     solve_system,
-    solve_univariate,
 )
 
 F = Fraction
+
+
+def univariate_roots(equation, var: str) -> list:
+    return solver._solve_univariate(equation, var)[0]
 
 
 def system_of(text: str) -> EquationSystem:
@@ -492,28 +495,28 @@ def _eq(text_lhs, text_rhs):
 
 
 def test_univariate_linear():
-    assert solve_univariate(_eq("3 * x - 6", "0"), "x") == [F(2)]
-    assert solve_univariate(_eq("x / 2 + 1", "4"), "x") == [F(6)]
+    assert univariate_roots(_eq("3 * x - 6", "0"), "x") == [F(2)]
+    assert univariate_roots(_eq("x / 2 + 1", "4"), "x") == [F(6)]
 
 
 def test_univariate_quadratic_exact():
-    roots = solve_univariate(_eq("x * x - 5 * x + 6", "0"), "x")
+    roots = univariate_roots(_eq("x * x - 5 * x + 6", "0"), "x")
     assert roots == [F(2), F(3)]
     # rational (non-integer) roots stay exact
-    roots = solve_univariate(_eq("4 * x ^ 2 - 1", "0"), "x")
+    roots = univariate_roots(_eq("4 * x ^ 2 - 1", "0"), "x")
     assert roots == [F(-1, 2), F(1, 2)]
     # a constant power beyond the old fold limit of 128 still expands exactly
-    roots = solve_univariate(_eq("x ^ 2", "2 ^ 200"), "x")
+    roots = univariate_roots(_eq("x ^ 2", "2 ^ 200"), "x")
     assert roots == [F(-(2**100)), F(2**100)]
     assert select_answer(roots) == 2**100
 
 
 def test_univariate_quadratic_double_root():
-    assert solve_univariate(_eq("x ^ 2 - 2 * x + 1", "0"), "x") == [F(1)]
+    assert univariate_roots(_eq("x ^ 2 - 2 * x + 1", "0"), "x") == [F(1)]
 
 
 def test_univariate_quadratic_irrational():
-    roots = solve_univariate(_eq("x ^ 2", "2"), "x")
+    roots = univariate_roots(_eq("x ^ 2", "2"), "x")
     assert all(isinstance(r, float) for r in roots)
     for r in roots:
         assert abs(r * r - 2) < 1e-9
@@ -521,24 +524,24 @@ def test_univariate_quadratic_irrational():
 
 def test_univariate_no_real_root():
     with pytest.raises(NoRealRootError):
-        solve_univariate(_eq("x ^ 2 + 1", "0"), "x")
+        univariate_roots(_eq("x ^ 2 + 1", "0"), "x")
     with pytest.raises(NoRealRootError):
-        solve_univariate(_eq("x ^ 4 + 1", "0"), "x")
+        univariate_roots(_eq("x ^ 4 + 1", "0"), "x")
 
 
 def test_univariate_tautology_and_contradiction():
     with pytest.raises(UnderdeterminedError):
-        solve_univariate(_eq("x", "x"), "x")
+        univariate_roots(_eq("x", "x"), "x")
     with pytest.raises(NoRealRootError):
-        solve_univariate(_eq("x + 1", "x"), "x")
+        univariate_roots(_eq("x + 1", "x"), "x")
 
 
 def test_univariate_cubic_snaps_to_exact():
-    assert solve_univariate(_eq("x ^ 3", "27"), "x") == [F(3)]
+    assert univariate_roots(_eq("x ^ 3", "27"), "x") == [F(3)]
 
 
 def test_univariate_cubic_irrational_residual_small():
-    (root,) = solve_univariate(_eq("x ^ 3", "2"), "x")
+    (root,) = univariate_roots(_eq("x ^ 3", "2"), "x")
     assert isinstance(root, float)
     assert abs(root**3 - 2) < 1e-9
 
@@ -548,22 +551,17 @@ def test_univariate_reciprocal_is_exact():
     assert (roots, method) == ([F(2)], "linear-elimination")
 
 
-def test_univariate_rejects_multi_variable_equations():
-    with pytest.raises(ValueError):
-        solve_univariate(_eq("x + y", "1"), "x")
-
-
 def test_univariate_polynomial_finds_every_real_root():
     """Degree 3 and up is isolated exactly: clustered, repeated and many
     roots all come back, rational ones as Fractions, the others correctly
     rounded, under the `polynomial` trace label."""
     roots, method = solver._solve_univariate(_eq("x ^ 3 - 6 * x ^ 2 + 11 * x", "6"), "x")
     assert (roots, method) == ([F(1), F(2), F(3)], "polynomial")
-    assert solve_univariate(_eq("(x - 1) ^ 8", "0"), "x") == [F(1)]
-    assert solve_univariate(_eq("x ^ 3", "2"), "x") == [1.2599210498948732]
+    assert univariate_roots(_eq("(x - 1) ^ 8", "0"), "x") == [F(1)]
+    assert univariate_roots(_eq("x ^ 3", "2"), "x") == [1.2599210498948732]
     sixteen = " * ".join(f"(x - {k})" for k in range(1, 17))
-    assert solve_univariate(_eq(sixteen, "0"), "x") == [F(k) for k in range(1, 17)]
-    assert solve_univariate(_eq("x ^ 3", "3 ^ 3000"), "x") == [F(3**1000)]
+    assert univariate_roots(_eq(sixteen, "0"), "x") == [F(k) for k in range(1, 17)]
+    assert univariate_roots(_eq("x ^ 3", "3 ^ 3000"), "x") == [F(3**1000)]
     outcome = solve_script(script_from_transcript(
         "[[var x]] [[x ^ 3 - 6 * x ^ 2 + 11 * x = 6]] [[answer = x]]"
     ))
@@ -647,9 +645,9 @@ def test_univariate_roots_agree_with_sympy(kind):
         expected = _sympy_real_roots(sympy, coefficients)
         if not expected:
             with pytest.raises(NoRealRootError):
-                solve_univariate((expr, Num(0)), "x")
+                univariate_roots((expr, Num(0)), "x")
             continue
-        got = solve_univariate((expr, Num(0)), "x")
+        got = univariate_roots((expr, Num(0)), "x")
         assert len(got) == len(expected), (coefficients, got, expected)
         for value, want in zip(got, expected):
             assert type(value) is type(want), (coefficients, got, expected)
@@ -698,7 +696,7 @@ def test_rational_equations_never_reach_the_peel_step(monkeypatch):
     ]
     for lhs, rhs in rational_equations:
         try:
-            solve_univariate(_eq(lhs, rhs), "x")
+            univariate_roots(_eq(lhs, rhs), "x")
         except NoRealRootError:
             pass
     assert seen == []
@@ -789,9 +787,9 @@ def test_inversion_agrees_with_sympy(kind):
         )
         if not expected:
             with pytest.raises(NoRealRootError):
-                solve_univariate(_eq(lhs, rhs), "x")
+                univariate_roots(_eq(lhs, rhs), "x")
             continue
-        got = solve_univariate(_eq(lhs, rhs), "x")
+        got = univariate_roots(_eq(lhs, rhs), "x")
         assert [type(root) for root in got] == [type(want) for want in expected], (lhs, rhs, got, expected)
         for value, want in zip(got, expected):
             if isinstance(want, F):
@@ -849,9 +847,9 @@ def test_rational_equations_agree_with_sympy(kind):
         expected = sorted(F(int(root.p), int(root.q)) for root in real)
         if not expected:
             with pytest.raises(NoRealRootError):
-                solve_univariate(_eq(lhs, rhs), "x")
+                univariate_roots(_eq(lhs, rhs), "x")
             continue
-        got = solve_univariate(_eq(lhs, rhs), "x")
+        got = univariate_roots(_eq(lhs, rhs), "x")
         assert got == expected and all(type(root) is F for root in got), (lhs, rhs, got, expected)
 
 
