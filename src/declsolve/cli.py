@@ -179,7 +179,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _at_least_one(text: str) -> int:
-    count = int(text)
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}") from None
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {count}")
     return count

@@ -166,6 +166,16 @@ def test_eval_rejects_a_count_below_one(tmp_path, capsys, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag", ["--runs", "--workers"])
+def test_eval_rejects_a_count_that_is_not_an_integer(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(_eval_args(tmp_path / "out", [flag, "x"]))
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: must be an integer, not 'x'" in err
+    assert "_at_least_one" not in err
+
+
 def test_eval_reads_config_file(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"model": "fixture-completions-v1"}))

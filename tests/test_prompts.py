@@ -201,7 +201,13 @@ def test_promptspec_checks_exemplar_scripts_by_variant(tmp_path):
     )
 )
 def test_exemplar_text_round_trip_property(exemplars):
-    text = "".join(f"=== QUESTION ===\n{ex.question}\n=== SOLUTION ===\n{ex.solution}\n" for ex in exemplars)
+    # Laid out as the shipped files are: a blank line after each body, which
+    # the parser strips from questions and solutions alike.
+    text = "\n".join(
+        part
+        for ex in exemplars
+        for part in (f"=== QUESTION ===\n{ex.question}\n", f"=== SOLUTION ===\n{ex.solution}\n")
+    )
     assert parse_exemplars(text) == exemplars
 
 
