@@ -34,16 +34,15 @@ print(render_script(script))
 
 question = "Cups cost 3 dollars. Maya sold 12 cups, then 8 more. Revenue?"
 result = check_transcript(transcript, question)
-print("all rules satisfied:", result.report.ok)
+print("all rules satisfied:", result.error is None and not result.unused_question_numbers)
 
 # A forward reference trips rule 3 — `spent` is used before it exists.
 bad = "Start from [[var left]] with [[left = 50 - spent]]. Then [[var spent]], [[spent = 20]], [[answer = left]]."
 result = check_transcript(bad, "You have 50 and spend 20. What is left?")
-for violation in result.report.violations:
-    print(f"rule {violation.principle} violated: {violation.message}")
+print(f"rule {result.error.principle} violated: {result.error}")
 
 # Unused question numbers only warn — the script is still solvable.
 lazy = "Take [[var n]] where [[n = 6 * 7]], then [[answer = n]]."
 result = check_transcript(lazy, "Multiply 6 by 7. Ignore 100. Result?")
-print("ok despite warning:", result.report.ok)
-print("unused numbers:", [str(n) for n in result.report.unused_question_numbers])
+print("ok despite warning:", result.error is None)
+print("unused numbers:", [str(n) for n in result.unused_question_numbers])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from dataclasses import fields
@@ -65,12 +66,17 @@ def _run_config(args: argparse.Namespace, config: dict) -> RunConfig:
     except ValueError as err:
         raise SystemExit(f"config: {err}")
     model = args.model or config.get("model", DEFAULT_MODEL)
-    stop = tuple(config.get("stop_sequences", DEFAULT_STOP_SEQUENCES))
-    return RunConfig(model=model, params=params, stop_sequences=stop)
+    stop = config.get("stop_sequences", DEFAULT_STOP_SEQUENCES)
+    if not isinstance(stop, (list, tuple)) or not all(isinstance(s, str) for s in stop):
+        raise SystemExit("config: stop_sequences must be a list of strings")
+    return RunConfig(model=model, params=params, stop_sequences=tuple(stop))
 
 
 def _client_mode(args: argparse.Namespace, config: dict):
     endpoint = args.endpoint or config.get("endpoint", DEFAULT_ENDPOINT)
+    timeout = config.get("timeout", DEFAULT_TIMEOUT)
+    if type(timeout) not in (int, float) or not 0 < timeout < math.inf:  # a bool is an int
+        raise SystemExit("config: timeout must be a positive number of seconds")
     mode_name = args.mode or ("replay" if args.cassette else "live")
     if mode_name != "live" and not args.cassette:
         raise SystemExit(f"{mode_name} mode requires --cassette")
@@ -81,7 +87,7 @@ def _client_mode(args: argparse.Namespace, config: dict):
             endpoint=endpoint,
             cassette_path=args.cassette if mode_name == "record" else None,
             credential_env=config.get("credential_env", DEFAULT_CREDENTIAL_ENV),
-            timeout=config.get("timeout", DEFAULT_TIMEOUT),
+            timeout=timeout,
         )
     except ValueError as err:  # the mode reads its cassette as it is made
         raise SystemExit(f"cassette: {err}")
@@ -158,22 +164,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     text = Path(args.transcript).read_text(encoding="utf-8")
     result = check_transcript(text, args.question or "")
-    if result.script is not None:
-        print("script:")
-        for line in render_script(result.script).splitlines():
-            print(f"  {line}")
-    failures = result.report.failures
-    for violation in failures:
-        print(f"violation (principle {violation.principle}): {violation.message}")
-    for violation in result.report.warnings:
-        print(f"warning (principle {violation.principle}): {violation.message}")
-    if result.report.unused_question_numbers:
-        unused = ", ".join(
-            format_rational(n) for n in result.report.unused_question_numbers
-        )
-        print(f"unused question numbers: {unused}")
-    if result.script is None or failures:
+    if result.error is not None:
+        print(f"violation (principle {result.error.principle}): {result.error}")
         return 1
+    print("script:")
+    for line in render_script(result.script).splitlines():
+        print(f"  {line}")
+    unused = [format_rational(n) for n in result.unused_question_numbers]
+    for number in unused:
+        print(f"warning (principle 5): question number {number} is not used in any equation")
+    if unused:
+        print(f"unused question numbers: {', '.join(unused)}")
     print("ok")
     return 0
 

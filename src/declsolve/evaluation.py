@@ -205,7 +205,8 @@ def load_algebra(path: str | Path) -> list[Problem]:
 def _jsonl_records(path: str | Path, id_prefix: str) -> Iterator[tuple[str, dict]]:
     """Each record of a JSONL file with its id: its own `id` field, else
     `<id_prefix>-NNNN` for its line index, blank lines counted.  A line that
-    is not a JSON object with `question` and `answer` is a DatasetError."""
+    is not a JSON object with `question` and `answer`, or whose `question`
+    is not non-empty text, is a DatasetError."""
     with open(path, encoding="utf-8") as handle:
         for index, line in enumerate(handle):
             line = line.strip()
@@ -216,6 +217,8 @@ def _jsonl_records(path: str | Path, id_prefix: str) -> Iterator[tuple[str, dict
                     raise DatasetError(f"{path}:{index + 1}: not JSON ({err})") from None
                 if not isinstance(record, dict) or not {"question", "answer"} <= record.keys():
                     raise DatasetError(f"{path}:{index + 1}: a record needs 'question' and 'answer'")
+                if not isinstance(record["question"], str) or not record["question"]:
+                    raise DatasetError(f"{path}:{index + 1}: 'question' must be non-empty text")
                 yield str(record.get("id", f"{id_prefix}-{index:04d}")), record
 
 
@@ -292,7 +295,7 @@ def run_problem(
     script, warnings = None, 0
     try:
         script = _script(spec, transcript)
-        warnings = len(check_principles(script, problem.question).warnings)
+        warnings = len(check_principles(script, problem.question))
         outcome, predicted = _answer(spec, script, transcript)
         correct = score(predicted, problem.gold_answer)
         any_correct = correct if outcome is None else any(

@@ -36,8 +36,7 @@ import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exprs import MAX_POWER_BITS, Expr, Num, Var, Neg, Add, Sub, Mul, Div, Pow
-from .exprs import format_rational, leaves, render
+from .exprs import MAX_POWER_BITS, Expr, Num, Var, Neg, Add, Sub, Mul, Div, Pow, leaves, render
 
 Span = tuple[int, int]
 
@@ -47,6 +46,8 @@ RESERVED_GOAL_NAME = "answer"
 
 class ParseError(Exception):
     """Base class for transcript- and expression-level parse failures."""
+
+    principle: int = 1
 
 
 class UnterminatedBracketError(ParseError):
@@ -447,101 +448,52 @@ def render_script(script: SolutionScript) -> str:
 # --------------------------------------------------------------------------
 # Principle checking
 
-@dataclass(frozen=True, slots=True)
-class PrincipleViolation:
-    principle: int
-    message: str
-    span: Span | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class PrincipleReport:
-    violations: tuple[PrincipleViolation, ...] = ()
-    unused_question_numbers: tuple[Fraction, ...] = ()
-
-    @property
-    def failures(self) -> tuple[PrincipleViolation, ...]:
-        """Violations that invalidate the script (rule 5 never does)."""
-        return tuple(v for v in self.violations if v.principle != 5)
-
-    @property
-    def warnings(self) -> tuple[PrincipleViolation, ...]:
-        return tuple(v for v in self.violations if v.principle == 5)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 _QUESTION_NUMBER_RE = re.compile(r"\d[\d,]*(?:\.\d+)?%?")
 
 
-def question_numbers(question: str) -> list[tuple[Fraction, frozenset[Fraction]]]:
-    """Numerals in the question, each with its set of acceptable values.
+def check_principles(script: SolutionScript, question: str) -> tuple[Fraction, ...]:
+    """Rule 5 (a warning only): the question's numbers that no equation
+    uses, each once, in order of first occurrence.
 
-    Commas are stripped; `N%` is accepted as either N or N/100.  Duplicates
-    keep the first occurrence only.  A numeral past the script grammar's
-    bound (`bounded_numeral`) is skipped: no script numeral can equal it,
-    and it could not be printed in a warning.
+    Commas are stripped, and `N%` counts as used as either N or N/100.  A
+    numeral past the script grammar's bound (`bounded_numeral`) is skipped:
+    no script numeral can equal it.
     """
-    out: list[tuple[Fraction, frozenset[Fraction]]] = []
-    # Keyed by numerator and denominator: a Fraction's own hash is costly,
-    # and the alias set below hashes each value once already.
+    # Keyed by numerator and denominator: a Fraction's own hash is costly.
+    used = {value.as_integer_ratio() for eq in script.equations for value in eq.numerals}
     seen: set[tuple[int, int]] = set()
-    for match in _QUESTION_NUMBER_RE.finditer(question):
-        text = match.group()
-        is_percent = text.endswith("%")
+    unused = []
+    for text in _QUESTION_NUMBER_RE.findall(question):
         face = bounded_numeral(text.rstrip("%").replace(",", ""))
-        if face is None:
-            continue
-        key = face.as_integer_ratio()
-        if key in seen:
+        if face is None or (key := face.as_integer_ratio()) in seen:
             continue
         seen.add(key)
-        aliases = frozenset({face, face / 100}) if is_percent else frozenset({face})
-        out.append((face, aliases))
-    return out
-
-
-def check_principles(script: SolutionScript, question: str) -> PrincipleReport:
-    """Report rule-5 findings: question numbers absent from every equation."""
-    # Keyed by numerator and denominator, as in question_numbers.
-    used = {value.as_integer_ratio() for eq in script.equations for value in eq.numerals}
-    violations = []
-    unused = []
-    for face, aliases in question_numbers(question):
-        if not any(alias.as_integer_ratio() in used for alias in aliases):
+        if key not in used and not (text[-1] == "%" and (face / 100).as_integer_ratio() in used):
             unused.append(face)
-            violations.append(
-                PrincipleViolation(
-                    5,
-                    f"question number {format_rational(face)} is not used in any equation",
-                )
-            )
-    return PrincipleReport(tuple(violations), tuple(unused))
+    return tuple(unused)
 
 
 @dataclass(frozen=True, slots=True)
 class TranscriptCheck:
-    """Outcome of running the parser and principle checker on a transcript."""
+    """Outcome of parsing a transcript and checking its rules: the script or
+    the error that stopped the parse, whose `principle` is the rule it
+    breaks, and the question numbers that no equation uses (rule 5)."""
 
     script: SolutionScript | None
-    report: PrincipleReport
+    error: ParseError | ScriptError | None
+    unused_question_numbers: tuple[Fraction, ...]
 
 
 def check_transcript(text: str, question: str = "") -> TranscriptCheck:
     """Parse a transcript and map any failure onto the rule it violates.
 
     Parse-level failures (a statement that neither introduces a variable nor
-    states an equation) report as rule 1; goal problems as rule 2; forward
-    references as rule 3; duplicate introductions as rule 4.  A valid script
+    states an equation) break rule 1; goal problems rule 2; forward
+    references rule 3; duplicate introductions rule 4.  A valid script
     additionally gets the rule-5 number-usage scan against the question.
     """
     try:
         script = script_from_transcript(text)
     except (ScriptError, ParseError) as err:
-        principle = getattr(err, "principle", 1)
-        violation = PrincipleViolation(principle, str(err), getattr(err, "span", None))
-        return TranscriptCheck(None, PrincipleReport((violation,)))
-    report = check_principles(script, question) if question else PrincipleReport()
-    return TranscriptCheck(script, report)
+        return TranscriptCheck(None, err, ())
+    return TranscriptCheck(script, None, check_principles(script, question))

@@ -199,6 +199,11 @@ def test_eval_reads_config_file(tmp_path, capsys):
         ({"max_tokens": 0}, "config: max_tokens must be positive"),
         ({"n_samples": 2}, "config: n_samples must be 1: only the first completion is read"),
         ({"max_tokens": "600"}, "config: max_tokens must be an integer, not str"),
+        ({"stop_sequences": "Question:"}, "config: stop_sequences must be a list of strings"),
+        ({"stop_sequences": ["Question:", 7]}, "config: stop_sequences must be a list of strings"),
+        ({"timeout": "soon"}, "config: timeout must be a positive number of seconds"),
+        ({"timeout": True}, "config: timeout must be a positive number of seconds"),
+        ({"timeout": 0}, "config: timeout must be a positive number of seconds"),
     ],
 )
 def test_eval_rejects_bad_config_value_in_one_line(tmp_path, bad, message):

@@ -110,6 +110,16 @@ def test_load_algebra_jsonl(tmp_path):
     assert load_algebra(path)[0].gold_answer == F(8)
 
 
+@pytest.mark.parametrize("loader, answer", [(load_gsm8k, "#### 4"), (load_algebra, "4")])
+@pytest.mark.parametrize("question", [5, "", None, ["Q?"]])
+def test_jsonl_records_need_a_non_empty_text_question(tmp_path, loader, answer, question):
+    path = tmp_path / "data.jsonl"
+    rows = [{"question": "Q?", "answer": answer}, {"question": question, "answer": answer}]
+    path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+    with pytest.raises(ev.DatasetError, match=r"data\.jsonl:2: 'question' must be non-empty text"):
+        loader(path)
+
+
 def test_load_algebra_rejects_non_numeric_answers(tmp_path):
     path = tmp_path / "algebra.csv"
     path.write_text('question,answer\n"Q","x=8 or 4"\n', encoding="utf-8")

@@ -27,7 +27,6 @@ from declsolve.parsing import (
     extract_brackets,
     parse_declaration,
     parse_expression,
-    question_numbers,
     render_script,
     script_from_transcript,
 )
@@ -240,49 +239,49 @@ def test_render_script_round_trips():
 
 # --- question numbers and principles ------------------------------------------
 
-def test_question_numbers_dedupe_and_percent():
-    numbers = question_numbers("He paid 1,200 twice: 1,200 at 15% interest.")
-    faces = [face for face, _ in numbers]
-    assert faces == [Fraction(1200), Fraction(15)]
-    _, aliases = numbers[1]
-    assert aliases == frozenset({Fraction(15), Fraction(3, 20)})
-
-
-def test_question_numbers_skip_a_numeral_past_the_script_bound():
-    question = f"Tom has {'7' * 5000} apples and 3 pears, {'0' * 5000}3 in all."
-    assert question_numbers(question) == [(Fraction(3), frozenset({Fraction(3)}))]
+def test_check_principles_dedupes_and_keeps_first_occurrence_order():
     script = script_from_transcript("[[var x]] [[x = 4]] [[answer = x]]")
-    assert check_principles(script, question).unused_question_numbers == (Fraction(3),)
+    question = "He paid 1,200 twice: 1,200 at 15% interest, then 1200.0 and 15."
+    assert check_principles(script, question) == (Fraction(1200), Fraction(15))
+    # 15% is used as 0.15; its later plain 15 is a duplicate, not a new number
+    script = script_from_transcript("[[var x]] [[x = 0.15]] [[answer = x]]")
+    assert check_principles(script, question) == (Fraction(1200),)
+
+
+def test_check_principles_skips_a_numeral_past_the_script_bound():
+    question = f"Tom has {'7' * 5000} apples and 3 pears, {'0' * 5000}3 in all."
+    script = script_from_transcript("[[var x]] [[x = 4]] [[answer = x]]")
+    assert check_principles(script, question) == (Fraction(3),)
 
 
 def test_check_principles_warns_on_unused_numbers():
     script = script_from_transcript("[[var x]] [[x = 4]] [[answer = x]]")
-    report = check_principles(script, "Tom has 4 apples and 3 pears. How many apples?")
-    assert not report.failures
-    assert len(report.warnings) == 1
-    assert report.unused_question_numbers == (Fraction(3),)
-    assert report.warnings[0].principle == 5
-    assert report.ok  # warnings never invalidate a script
+    unused = check_principles(script, "Tom has 4 apples and 3 pears. How many apples?")
+    assert unused == (Fraction(3),)
+    assert check_transcript("[[var x]] [[x = 4]] [[answer = x]]", "Tom has 4 and 3.").error is None
 
 
 def test_check_principles_percent_alias_counts_as_used():
     script = script_from_transcript(
         "[[var p]] [[var s]] [[s = p - 0.30 * p]] [[s = 84]] [[answer = p]]"
     )
-    report = check_principles(script, "A 30% discount brings the price to 84.")
-    assert report.warnings == ()
-    assert report.ok
+    assert check_principles(script, "A 30% discount brings the price to 84.") == ()
+    # the alias N/100 is accepted only after a '%'
+    assert check_principles(script, "A 30 discount brings the price to 84.") == (Fraction(30),)
 
 
 def test_check_transcript_maps_errors_to_principles():
     # syntax failure inside a bracket -> principle 1
     result = check_transcript("[[var x]] [[x ++ = 3]] [[answer = x]]")
     assert result.script is None
-    assert [v.principle for v in result.report.failures] == [1]
+    assert isinstance(result.error, ExprSyntaxError)
+    assert result.error.principle == 1
     # structural failure keeps its own principle
-    result = check_transcript("[[var x]] [[x = 3]]")
+    result = check_transcript("[[var x]] [[x = 3]]", "What is 7?")
     assert result.script is None
-    assert [v.principle for v in result.report.failures] == [2]
+    assert isinstance(result.error, NoGoalError)
+    assert result.error.principle == 2
+    assert result.unused_question_numbers == ()
 
 
 def test_check_transcript_ok_path():
@@ -290,7 +289,8 @@ def test_check_transcript_ok_path():
         "[[var x]] [[x = 12]] [[answer = x]]", question="What is 12?"
     )
     assert result.script is not None
-    assert result.report.ok
+    assert result.error is None
+    assert result.unused_question_numbers == ()
 
 
 # --- the grammar round-trip property ------------------------------------------

@@ -7,7 +7,9 @@ nests less than `MAX_NESTING` levels, both must give equal declarations,
 or raise the same exception type with the same message and position.
 Whole transcripts, whose brackets share names and numerals, are held to the
 same against the reference parse of each bracket on its own.
-`question_numbers` is held to the same on question text.
+`check_principles` is held to a reference rule-5 check built on the earlier
+`question_numbers`, which gave each question number its set of accepted
+values.
 """
 
 import re
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from declsolve.exprs import Add, Div, Expr, Mul, Neg, Num, Pow, Sub, Var
+from declsolve.exprs import Add, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, render
 from declsolve.parsing import (
     RESERVED_GOAL_NAME,
     EqDecl,
@@ -28,10 +30,10 @@ from declsolve.parsing import (
     ScriptError,
     VarDecl,
     build_script,
+    check_principles,
     extract_brackets,
     parse_declaration,
     parse_expression,
-    question_numbers,
     script_from_transcript,
 )
 
@@ -202,6 +204,11 @@ def reference_question_numbers(question):
     return out
 
 
+def reference_check_principles(script, question):
+    used = {value for eq in script.equations for value in eq.numerals}
+    return tuple(face for face, aliases in reference_question_numbers(question) if not aliases & used)
+
+
 # --------------------------------------------------------------------------
 # Inputs
 
@@ -331,9 +338,20 @@ QUESTION_TEXT = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(QUESTION_TEXT)
-def test_question_numbers_match_reference(question):
-    assert question_numbers(question) == reference_question_numbers(question)
+@given(QUESTION_TEXT, st.data())
+def test_check_principles_matches_reference(question, data):
+    # The script's numerals are question values, their N/100 aliases, which
+    # count only after a '%', and other values.
+    faces = [face for face, _ in reference_question_numbers(question)]
+    pool = st.integers(0, 2000).map(Fraction) | st.sampled_from(
+        [Fraction(0), Fraction(1, 2), Fraction(3, 200), Fraction(12)]
+    )
+    if faces:
+        pool |= st.sampled_from(faces) | st.sampled_from(faces).map(lambda face: face / 100)
+    values = data.draw(st.lists(pool, max_size=8))
+    equations = " ".join(f"[[x = {render(Num(value))}]]" for value in values)
+    script = script_from_transcript(f"[[var x]] {equations} [[answer = x]]")
+    assert check_principles(script, question) == reference_check_principles(script, question)
 
 
 def test_reference_agrees_on_a_deep_but_legal_expression():
