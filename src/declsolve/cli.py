@@ -57,6 +57,14 @@ def _load_config(path: str | None) -> dict:
             raise SystemExit(f"config: {path} is not JSON ({err})")
     if not isinstance(config, dict):
         raise SystemExit(f"config: {path} must hold a JSON object")
+    text_keys = ("model", "endpoint", "credential_env")
+    known = {*text_keys, "stop_sequences", "timeout", *(f.name for f in fields(DecodingParams))}
+    unknown = sorted(config.keys() - known)
+    if unknown:
+        raise SystemExit(f"config: unknown key {', '.join(map(repr, unknown))}")
+    for key in text_keys:
+        if key in config and not (isinstance(config[key], str) and config[key]):
+            raise SystemExit(f"config: {key} must be a non-empty string")
     return config
 
 
@@ -80,12 +88,14 @@ def _client_mode(args: argparse.Namespace, config: dict):
     mode_name = args.mode or ("replay" if args.cassette else "live")
     if mode_name != "live" and not args.cassette:
         raise SystemExit(f"{mode_name} mode requires --cassette")
+    if mode_name == "live" and args.cassette:
+        raise SystemExit("live mode takes no --cassette; record mode records through one")
     try:
         if mode_name == "replay":
             return Replay(args.cassette)
         return Live(
             endpoint=endpoint,
-            cassette_path=args.cassette if mode_name == "record" else None,
+            cassette_path=args.cassette,
             credential_env=config.get("credential_env", DEFAULT_CREDENTIAL_ENV),
             timeout=timeout,
         )

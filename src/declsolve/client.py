@@ -7,8 +7,8 @@ Two modes:
   requests already on the cassette are served from it, and fresh
   completions are appended.  The caller's worker count is the only bound
   on requests in flight.
-- Replay: serve completions from a cassette file; never touches the
-  network (no endpoint is even configured).
+- Replay: serve completions from an existing cassette file; never touches
+  the network (no endpoint is even configured).
 
 A mode reads its cassette once, when it is made, and holds it; a run's
 workers share the mode, its cassette and the cassette's append lock.
@@ -121,8 +121,11 @@ class Cassette:
                 try:
                     record = json.loads(line)
                     if "fingerprint" in record:
+                        completion = record["completion"]
+                        if not isinstance(completion, str):
+                            raise ValueError("a completion must be text")
                         # First write wins: entries are immutable once recorded.
-                        entries.setdefault(record["fingerprint"], record["completion"])
+                        entries.setdefault(record["fingerprint"], completion)
                     elif "metadata" in record and lineno == 1:
                         metadata = record["metadata"]
                     else:
@@ -163,11 +166,14 @@ def append_record(path: str | Path, req: CompletionRequest, completion: str) -> 
 # Modes
 
 def _open_cassette(mode: Live | Replay) -> None:
-    """Read the mode's cassette once, as the mode is made: the file, an
-    empty cassette where none exists yet, or None without a path."""
+    """Read the mode's cassette once, as the mode is made: the file, None
+    without a path, or an empty cassette for a recording Live whose file
+    does not exist yet; Replay raises FileNotFoundError for a missing one."""
     try:
         cassette = None if mode.cassette_path is None else Cassette.load(mode.cassette_path)
     except FileNotFoundError:
+        if isinstance(mode, Replay):
+            raise
         cassette = Cassette()
     object.__setattr__(mode, "cassette", cassette)
 
@@ -265,10 +271,12 @@ def _live_call(
         timed_out = False
         if status == 200:
             try:
-                data = json.loads(body)
-                return data["choices"][0]["text"]
+                text = json.loads(body)["choices"][0]["text"]
             except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+                text = None
+            if not isinstance(text, str):
                 raise EndpointError(status, f"malformed completion body: {body[:120]}")
+            return text
         if status in _RETRYABLE_STATUSES:
             last_status, last_body = status, body
             continue

@@ -315,17 +315,19 @@ def exact_power(base: Fraction, power: Fraction | int) -> Fraction:
     return base**power
 
 
-def rounded_power(base: Fraction, power: Fraction) -> Fraction:
-    """`exact_power`, except that a fractional power of a positive base
-    that has no exact value, or whose exponent is a rounded one, is rounded
-    to a float, as a power of a rounded value may be."""
+def rounded_power(base: Fraction, power: Fraction) -> Fraction | float:
+    """`exact_power`, or a float where that refuses the power for want of an
+    exact root or for size and a nonzero base has a real power: the sign of
+    an odd integer power times exp(power * log|base|).  A float is a rounded
+    result; one past the float range raises ExponentTooLargeError."""
     try:
         return exact_power(base, power)
     except (NonIntegerExponentError, ExponentTooLargeError):
-        if power.denominator == 1 or base <= 0:
+        if base == 0 or base < 0 and power.denominator != 1:
             raise
+    sign = -1 if base < 0 and power.numerator % 2 else 1
     try:
-        return Fraction(math.exp(float(power) * rational_log(base)))
+        return sign * math.exp(float(power * Fraction(rational_log(abs(base)))))
     except OverflowError as err:
         raise ExponentTooLargeError(power) from err
 
@@ -635,7 +637,7 @@ _EXACT_OPERATIONS = {
     Pow: exact_power,
 }
 
-_ROUNDED_OPERATIONS = _EXACT_OPERATIONS | {Pow: rounded_power}
+_ROUNDED_OPERATIONS = _EXACT_OPERATIONS | {Pow: lambda base, power: Fraction(rounded_power(base, power))}
 
 _REBUILD = {kind: kind for kind in _EXACT_OPERATIONS}
 

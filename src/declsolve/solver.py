@@ -37,7 +37,6 @@ from .exprs import (
     ExprError,
     Mul,
     Neg,
-    NonIntegerExponentError,
     NonLinearError,
     Num,
     Pow,
@@ -51,6 +50,7 @@ from .exprs import (
     linear_form,
     rational,
     rational_log,
+    rounded_power,
     substitute,
 )
 from .parsing import SolutionScript
@@ -321,13 +321,13 @@ def _coefficients(terms: Terms, var: str) -> list[int]:
     return _integers([terms.get(((var, k),) if k else (), Fraction(0)) for k in range(degree + 1)])
 
 
-def _solve_univariate(equation: Equation, var: str) -> tuple[list[Value], str]:
+def _solve_univariate(equation: Equation, var: str, approx: bool = False) -> tuple[list[Value], str]:
     """Real roots of a single-unknown equation plus the method label used:
     every real root but the poles of a rational equation of degree 1 to 32,
-    cleared of denominators, exact (Fraction) where rational and otherwise
-    correctly rounded (float).  A residual that is not rational is first
-    peeled by `_isolate`."""
-    part, values, inverted = equation[0] - equation[1], [(Fraction(0), False)], False
+    cleared of denominators, exact (Fraction) where rational and not
+    `approx` (the equation holds rounded values), else correctly rounded
+    (float).  A residual that is not rational is first peeled by `_isolate`."""
+    part, values, inverted = equation[0] - equation[1], [(Fraction(0), approx)], False
     roots: list[Value] = []
     try:
         while True:
@@ -385,10 +385,10 @@ def _isolate(part: Expr, values: list[tuple[Fraction, bool]]) -> tuple[Expr, lis
 
 def _inverse(kind: type, on_left: bool, value: Fraction, c: Fraction, approx: bool) -> list[tuple[Fraction, bool]]:
     """Each real operand, with the unknown, of a node of `kind` whose other
-    operand is c and whose value is `value`.  `p ^ c` takes both signs of an
-    even c's root, and p >= 0 for a fractional c, as `exact_power` does;
-    `c ^ p` takes the nearest fraction with a denominator up to MAX_EXPONENT
-    if it checks out.  An irrational root or logarithm is a float."""
+    operand is c and whose value is `value`.  `p ^ c` takes the root that
+    `rounded_power` gives, with both signs for an even c and p >= 0 for a
+    fractional c; `c ^ p` takes the nearest fraction with a denominator up
+    to MAX_EXPONENT if it checks out.  A rounded root or logarithm is a float."""
     try:
         if kind is not Pow:
             return [(eval_exact(_INVERSES[kind, on_left](Num(value), Num(c))), approx)]
@@ -406,11 +406,9 @@ def _inverse(kind: type, on_left: bool, value: Fraction, c: Fraction, approx: bo
         even = c.denominator == 1 and c.numerator % 2 == 0
         if value < 0 and (even or c.denominator != 1):
             return []
-        try:
-            root = exact_power(abs(value), 1 / c)
-        except NonIntegerExponentError:
-            root, approx = Fraction(math.exp(rational_log(abs(value)) / c)), True
-        return [(sign * root, approx) for sign in ((-1, 1) if even and root else (-1 if value < 0 else 1,))]
+        root = rounded_power(abs(value), 1 / c)
+        approx = approx or isinstance(root, float)
+        return [(Fraction(sign * root), approx) for sign in ((-1, 1) if even and root else (-1 if value < 0 else 1,))]
     except ZeroDivisionError:  # no real operand gives `value`
         return []
 
@@ -571,7 +569,7 @@ def _branch_univariate(
     univariate = [(i, *(left | right)) for i, (left, right) in enumerate(residual.names) if len(left | right) == 1]
     for index, var in univariate:
         try:
-            roots, method = _solve_univariate(residual.equations[index], var)
+            roots, method = _solve_univariate(residual.equations[index], var, approx)
         except SolverError as err:
             last_error = err
             continue

@@ -110,6 +110,13 @@ def test_solve_record_requires_cassette():
         main(["solve", "Q?", "--mode", "record"])
 
 
+def test_solve_live_refuses_a_cassette():
+    """Live mode would drop the cassette unread; record mode is the one that
+    records through it."""
+    with pytest.raises(SystemExit, match="live mode takes no --cassette"):
+        main(["solve", "Q?", "--mode", "live", "--cassette", "c.jsonl"])
+
+
 # --- eval ----------------------------------------------------------------
 
 def _eval_args(out_dir, extra=()):
@@ -204,6 +211,11 @@ def test_eval_reads_config_file(tmp_path, capsys):
         ({"timeout": "soon"}, "config: timeout must be a positive number of seconds"),
         ({"timeout": True}, "config: timeout must be a positive number of seconds"),
         ({"timeout": 0}, "config: timeout must be a positive number of seconds"),
+        ({"credential_env": 5}, "config: credential_env must be a non-empty string"),
+        ({"model": ["a"]}, "config: model must be a non-empty string"),
+        ({"endpoint": ""}, "config: endpoint must be a non-empty string"),
+        ({"max_token": 600}, "config: unknown key 'max_token'"),
+        ({"seed": 1, "Model": "m"}, "config: unknown key 'Model', 'seed'"),
     ],
 )
 def test_eval_rejects_bad_config_value_in_one_line(tmp_path, bad, message):
@@ -254,6 +266,9 @@ BAD_INPUTS = {
     "algebra-row-without-answer-cell": (
         {"problems.csv": "question,answer\nQ?,4\nR?\n"}, ["--format", "algebra", "--dataset", "problems.csv"],
         "problems.csv:3: empty 'question' or 'answer' cell",
+    ),
+    "missing-cassette": (
+        {"problems.jsonl": GOOD_LINE + "\n"}, ["--mode", "replay"], "No such file or directory: 'c.jsonl'",
     ),
     "malformed-cassette": (
         {"problems.jsonl": GOOD_LINE + "\n", "c.jsonl": '{"neither": 1}\n'}, [],

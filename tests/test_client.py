@@ -114,7 +114,10 @@ def test_cassette_rejects_garbage_lines(tmp_path):
         Cassette.load(path)
 
 
-@pytest.mark.parametrize("line", ["not json", '"fingerprint"', '{"fingerprint": "x"}', "[1]"])
+@pytest.mark.parametrize("line", [
+    "not json", '"fingerprint"', '{"fingerprint": "x"}', "[1]",
+    '{"fingerprint": "x", "completion": 5}', '{"fingerprint": "x", "completion": null}',
+])
 def test_cassette_names_the_line_of_any_malformed_shape(tmp_path, line):
     path = tmp_path / "c.jsonl"
     path.write_text(f'{{"metadata": {{}}}}\n{line}\n', encoding="utf-8")
@@ -137,6 +140,16 @@ def test_replay_miss_raises(tmp_path):
     with pytest.raises(CassetteMissError) as info:
         complete(req(), Replay(str(path)))
     assert info.value.fingerprint == fingerprint(req())
+
+
+def test_replay_refuses_a_missing_cassette(tmp_path):
+    """Only a recording Live creates its file; a Replay of a path that does
+    not exist is an error, not an empty cassette that misses every request."""
+    path = tmp_path / "typo.jsonl"
+    with pytest.raises(FileNotFoundError):
+        Replay(str(path))
+    assert Live("https://example.invalid", str(path)).cassette.entries == {}
+    assert not path.exists()
 
 
 def test_replay_never_touches_the_network(tmp_path):
@@ -303,6 +316,17 @@ def test_live_malformed_body_is_an_endpoint_error():
     transport = FakeTransport([(200, "not json")])
     with pytest.raises(EndpointError):
         complete(req(), Live("https://example.invalid"), transport=transport, sleep=no_sleep)
+
+
+@pytest.mark.parametrize("body", [
+    {"choices": [{"text": None}]}, {"choices": [{"text": 5}]}, {"choices": [{"text": ["a"]}]},
+])
+def test_live_completion_that_is_not_text_is_an_endpoint_error(tmp_path, body):
+    path = tmp_path / "c.jsonl"
+    transport = FakeTransport([(200, json.dumps(body))])
+    with pytest.raises(EndpointError, match="malformed completion body"):
+        complete(req(), Live("https://example.invalid", str(path)), transport=transport, sleep=no_sleep)
+    assert not path.exists()
 
 
 # --- live with a cassette (record-through) ---------------------------------------

@@ -33,6 +33,7 @@ from declsolve.exprs import (
     polynomial,
     rational,
     render,
+    rounded_power,
     substitute,
 )
 
@@ -102,8 +103,9 @@ def test_eval_exact_basics():
 
 def test_eval_exact_rounds_only_the_powers_it_cannot_take_exactly_under_approx():
     """With rounded bindings, a positive base's fractional power that has no
-    exact value is rounded; an exact one, and every refusal for an integer
-    exponent or a negative base, stays as without `approx`."""
+    exact value is rounded; an exact one stays exact.  A negative base's
+    fractional power still fails, and so does a power past the float range
+    (`2 ^ 100000` overflows once it is rounded)."""
     x = Fraction(3.3219280948873626)  # a rounded log2(10)
     assert float(eval_exact(Pow(Num(2), Var("x")), {"x": x}, approx=True)) == pytest.approx(10, rel=1e-15)
     assert float(eval_exact(Pow(Num(2), Num(Fraction(1, 2))), approx=True)) == pytest.approx(2**0.5, rel=1e-15)
@@ -116,6 +118,34 @@ def test_eval_exact_rounds_only_the_powers_it_cannot_take_exactly_under_approx()
     with pytest.raises(ExponentTooLargeError):
         eval_exact(Pow(Num(2), Var("x")), {"x": x})
 
+
+def test_rounded_power_rounds_whatever_exact_power_refuses_that_has_a_real_value():
+    """`exact_power` where it takes the power; else a float, whether it was
+    refused for want of an exact root or for size, with the sign of an odd
+    integer power of a negative base."""
+    assert rounded_power(Fraction(16), Fraction(1, 2)) == 4
+    assert type(rounded_power(Fraction(16), Fraction(1, 2))) is Fraction
+    near_one = Fraction(10001, 10000)
+    for base, power, expected in (
+        (Fraction(2), Fraction(1, 2), 2**0.5),
+        (near_one, Fraction(MAX_EXPONENT + 1), 1.0001 ** (MAX_EXPONENT + 1)),
+        (Fraction(5), Fraction(1, MAX_EXPONENT + 1), 5 ** (1 / (MAX_EXPONENT + 1))),
+        (-near_one, Fraction(MAX_EXPONENT + 1), -(1.0001 ** (MAX_EXPONENT + 1))),
+        (-near_one, Fraction(MAX_EXPONENT + 2), 1.0001 ** (MAX_EXPONENT + 2)),
+        (Fraction(1, 10**400), Fraction(1, 20001), 10 ** (-400 / 20001)),
+    ):
+        value = rounded_power(base, power)
+        assert type(value) is float
+        assert value == pytest.approx(expected, rel=1e-12)
+    for base, power, error in (
+        (Fraction(-4), Fraction(1, 2), NonIntegerExponentError),
+        (-near_one, Fraction(1, MAX_EXPONENT + 1), ExponentTooLargeError),
+        (Fraction(0), Fraction(MAX_EXPONENT + 1), ExponentTooLargeError),
+        (Fraction(2), Fraction(MAX_EXPONENT + 1), ExponentTooLargeError),
+        (Fraction(10**10), Fraction(10**300), ExponentTooLargeError),
+    ):
+        with pytest.raises(error):
+            rounded_power(base, power)
 
 def test_eval_exact_errors():
     with pytest.raises(UnboundVariableError):

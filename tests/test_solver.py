@@ -713,6 +713,10 @@ def test_rational_equations_never_reach_the_peel_step(monkeypatch):
     ("1000 * 1.05 ^ x", "2000", [math.log(2) / math.log(1.05)]),
     ("x ^ 1.5", "10", [4.641588833612779]),
     ("x ^ 40", "5", [-(5 ** (1 / 40)), 5 ** (1 / 40)]),
+    ("x ^ 9999", "5", [1.0001609728419698]),
+    ("x ^ 10001", "5", [1.0001609406480303]),
+    ("x ^ 20000", "5", [-1.0000804751335715, 1.0000804751335715]),
+    ("x ^ 0.00005", "1.00001", [1.2214015367703699]),
     ("2 ^ x", "10 ^ 400", [400 * math.log2(10)]),
     ("1.0001 ^ x", "10 ^ 300", [300 * math.log(10) / math.log(1.0001)]),
     ("(x + 1) ^ 0.5", "0 - 2", NoRealRootError),
@@ -728,7 +732,8 @@ def test_rational_equations_never_reach_the_peel_step(monkeypatch):
 def test_non_rational_equations_are_isolated_in_both_orders(lhs, rhs, expected):
     """Inverse operations peel a non-rational equation down to a rational
     part: an exact power or logarithm stays exact, an irrational one is a
-    float, and a root reached through a float is one.  The unknown in both
+    float, and so is a root too large to take exactly (past MAX_EXPONENT),
+    and a root reached through a float is one.  The unknown in both
     operands of a node, or a constant with no exact value, fails typed."""
     for equation in (_eq(lhs, rhs), _eq(rhs, lhs)):
         if isinstance(expected, type):
@@ -1110,6 +1115,55 @@ def test_trace_shows_bindings_from_a_rounded_root_as_floats():
         "[[var x]] [[var y]] [[var z]] [[x ^ 2 = 2]] [[y + z = x]] [[y - z = 1]] [[answer = y]]"
     ))
     assert eliminated.trace[-1] == "linear-elimination: y = 1.2071067811865475, z = 0.20710678118654757"
+
+
+def _both_orders(*equations: str) -> list[SolveOutcome]:
+    """The outcomes of the script over x and y with goal y, with its
+    equations in the given order and reversed."""
+    return [
+        solve_script(script_from_transcript(
+            "[[var x]] [[var y]] " + " ".join(f"[[{e}]]" for e in order) + " [[answer = y]]"
+        ))
+        for order in (equations, equations[::-1])
+    ]
+
+
+@pytest.mark.parametrize("power, expected", [
+    ("y = x ^ 20000.5", [7.387947983401498]),
+    ("y = x ^ 9000", [2.459381786303559]),
+    ("x ^ 9000 = y", [2.459381786303559]),
+    ("y = (0 - x) ^ 10001", [2.718281837465808, -2.718281837465808]),
+    ("y = (0 - x) ^ 10000", [2.7180100500494997]),
+])
+def test_a_power_of_a_rounded_root_past_the_limits_is_rounded(power, expected):
+    """Under a rounded root, an integer power too large to take exactly is
+    rounded as a fractional one is, with the sign of an odd power of a
+    negative base."""
+    for outcome in _both_orders("x ^ 2 = 1.0002", power):
+        assert all(type(c) is float for c in outcome.candidates), outcome.candidates
+        assert list(outcome.candidates) == pytest.approx(expected, rel=1e-12)
+
+
+def test_univariate_roots_under_a_rounded_root_are_floats():
+    """Each strategy knows a rounded root: the roots of an equation that
+    holds rounded values are floats in the candidates and in the trace."""
+    for outcome in _both_orders("x ^ 2 = 2", "y * y = x * x"):
+        assert outcome.candidates == (-1.4142135623730951, 1.4142135623730951)
+        assert outcome.trace.count("quadratic: y in {-1.4142135623730951, 1.4142135623730951}") == 2
+        assert not any("/" in line for line in outcome.trace), outcome.trace
+    roots, method = solver._solve_univariate(_eq("x * x", "4"), "x", approx=True)
+    assert [type(root) for root in roots] == [float, float] and roots == [-2, 2] and method == "quadratic"
+
+
+def test_isolation_refuses_more_branches_than_the_limit():
+    """Each peeled square doubles the values its operand may take; the
+    fifth would make 32, past MAX_BRANCHES."""
+    nested = "2 ^ x"
+    for _ in range(5):
+        nested = f"({nested}) ^ 2 - 30"
+    for equation in (_eq(nested, "1"), _eq("1", nested)):
+        with pytest.raises(UnsolvableError, match=f"root branching exceeded {solver.MAX_BRANCHES} branches"):
+            solver._solve_univariate(equation, "x")
 
 
 def test_solve_system_deduplicates_candidates():
