@@ -3,7 +3,8 @@
 Two modes:
 
 - Live: POST to an OpenAI-compatible ``/completions`` endpoint, with
-  exponential-backoff retries.  Given a cassette, it records through:
+  exponential-backoff retries; a call that fails raises its last attempt's
+  error.  Given a cassette, it records through:
   requests already on the cassette are served from it, and fresh
   completions are appended.  The caller's worker count is the only bound
   on requests in flight.
@@ -63,7 +64,7 @@ class EndpointError(ClientError):
 
 class RequestTimeoutError(ClientError):
     def __init__(self, timeout: float):
-        super().__init__(f"request timed out after {timeout}s (all retries)")
+        super().__init__(f"request timed out after {timeout}s on the last attempt")
         self.timeout = timeout
 
 
@@ -253,22 +254,18 @@ def _live_call(
     if key:
         headers["Authorization"] = f"Bearer {key}"
 
-    last_status: int | None = None
-    last_body = ""
-    timed_out = False
+    error: ClientError | None = None
     for attempt in range(RETRY_ATTEMPTS):
         if attempt:
             sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
         try:
             status, body = transport(mode.endpoint, payload, headers, mode.timeout)
         except TimeoutError:
-            timed_out = True
-            last_status, last_body = None, "timeout"
+            error = RequestTimeoutError(mode.timeout)
             continue
         except OSError as err:  # ConnectionError, requests.RequestException
-            last_status, last_body = None, str(err)
+            error = EndpointError(None, str(err))
             continue
-        timed_out = False
         if status == 200:
             try:
                 text = json.loads(body)["choices"][0]["text"]
@@ -277,13 +274,10 @@ def _live_call(
             if not isinstance(text, str):
                 raise EndpointError(status, f"malformed completion body: {body[:120]}")
             return text
-        if status in _RETRYABLE_STATUSES:
-            last_status, last_body = status, body
-            continue
-        raise EndpointError(status, body)
-    if timed_out:
-        raise RequestTimeoutError(mode.timeout)
-    raise EndpointError(last_status, last_body)
+        error = EndpointError(status, body)
+        if status not in _RETRYABLE_STATUSES:
+            raise error
+    raise error
 
 
 def complete(

@@ -7,9 +7,9 @@ the correctly rounded float.
 The polynomial is first made square-free by dividing out its gcd with the
 derivative, and then, when poles are given, by its gcd with them.
 Descartes-rule bisection (Collins & Akritas 1976) then splits
-(0, B) and (-B, 0), with B a Fujiwara root bound, into intervals that hold
-one root each: an interval whose Moebius-transformed polynomial has one
-sign variation holds exactly one root, one with none holds no root.  Each
+(-B, B), with B a Fujiwara root bound, into intervals that hold one root
+each: an interval whose Moebius-transformed polynomial has one sign
+variation holds exactly one root, one with none holds no root.  Each
 root is then refined by the sign of the polynomial, with secant steps that
 double the bits gained while they land (Abbott's quadratic interval
 refinement) and bisection when they miss.  Every rational root of
@@ -64,21 +64,7 @@ def real_roots(coefficients: list[int], poles: list[int] = ()) -> list[Fraction 
     for q in ([i * c for i, c in enumerate(p)][1:], poles):
         shared = gcd(p, q) if len(q) > 1 else [1]
         p = p if len(shared) == 1 else _divide(p, shared)
-    roots: list[Fraction | float] = []
-    if p[0] == 0:  # a simple root at zero
-        roots.append(Fraction(0))
-        del p[0]
-    if len(p) > 1:
-        mirrored = [-c if i % 2 else c for i, c in enumerate(p)]  # p(-x)
-        for root in _positive_roots(mirrored):
-            if isinstance(root, Fraction):
-                roots.append(-root)
-            else:
-                lo, hi, k = root
-                roots.append(_refine(p, -hi, -lo, k))
-        for root in _positive_roots(p):
-            roots.append(root if isinstance(root, Fraction) else _refine(p, *root))
-    return sorted(roots)
+    return [root if isinstance(root, Fraction) else _refine(p, *root) for root in _isolate(p)]
 
 
 def _trim(p: Poly) -> Poly:
@@ -190,10 +176,10 @@ def _variations(q: Poly) -> int:
     return count
 
 
-def _positive_roots(p: Poly) -> list[Fraction | tuple[int, int, int]]:
-    """The positive roots of square-free p, p(0) != 0, in ascending order:
-    each an exact Fraction when bisection lands on it, else an interval
-    (lo, hi, k) for the open (lo / 2**k, hi / 2**k) that holds it alone.
+def _isolate(p: Poly) -> list[Fraction | tuple[int, int, int]]:
+    """The real roots of square-free p in ascending order: each an exact
+    Fraction when bisection lands on it, else an interval (lo, hi, k) for
+    the open (lo / 2**k, hi / 2**k) that holds it alone.
 
     A node is an interval with q(t) proportional to p(lo + t * (hi - lo)),
     so that its roots in (0, 1) are those of p in the interval.  The
@@ -203,24 +189,25 @@ def _positive_roots(p: Poly) -> list[Fraction | tuple[int, int, int]]:
     n = len(p) - 1
     lead_bits = abs(p[-1]).bit_length()
     # Fujiwara: every root has |x| <= 2 * max |c[n-i] / c[n]| ** (1 / i), and
-    # |c[n-i] / c[n]| < 2 ** (bits(c[n-i]) - bits(c[n]) + 1).
-    exponent = 1 + max(
-        -((lead_bits - abs(c).bit_length() - 1) // i)
-        for i, c in enumerate(reversed(p[:-1]), 1) if c
-    )
+    # |c[n-i] / c[n]| < 2 ** (bits(c[n-i]) - bits(c[n]) + 1).  Any bound
+    # will do for c * x and for a constant.
+    exponent = 1 + max((-((lead_bits - abs(c).bit_length() - 1) // i)
+                        for i, c in enumerate(reversed(p[:-1]), 1) if c), default=0)
     # Two roots of a square-free integer polynomial, complex ones included,
     # are at least sqrt(3) * n**(-(n+2)/2) * |p|_2**(1-n) apart (Mahler
     # 1964), and Descartes' rule counts exactly on intervals a small
-    # multiple of that wide, so bisection ends by this depth.
+    # multiple of that wide, so bisection from (-B, B) ends by this depth.
     norm_bits = max(abs(c) for c in p).bit_length() + n.bit_length()
-    max_depth = exponent + 4 + (n + 2) * n.bit_length() + (n - 1) * norm_bits
+    max_depth = exponent + 5 + (n + 2) * n.bit_length() + (n - 1) * norm_bits
 
+    # q(s) proportional to p(2**exponent * s) in integers, then the root
+    # node's q(2t - 1): q(-s), shifted to q(-s - 1), q(s - 1), and s = 2t.
     k = max(0, -exponent)
-    if exponent >= 0:
-        q = [c << (exponent * i) for i, c in enumerate(p)]
-    else:
-        q = [c << (-exponent * (n - i)) for i, c in enumerate(p)]
-    stack = [(q, 0, 1 << (exponent + k), k, 0)]
+    q = [c << (exponent * i + k * n) for i, c in enumerate(p)]
+    q = _shifted([-c if i % 2 else c for i, c in enumerate(q)])
+    q = [(-c if i % 2 else c) << i for i, c in enumerate(q)]
+    bound = 1 << (exponent + k)
+    stack = [(q, -bound, bound, k, 0)]
     found: list[Fraction | tuple[int, int, int]] = []
     while stack:
         q, lo, hi, k, depth = stack.pop()

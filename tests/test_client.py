@@ -279,6 +279,19 @@ def test_live_timeout_surfaces_after_retries():
         complete(req(), Live("https://example.invalid"), transport=transport, sleep=no_sleep)
 
 
+@pytest.mark.parametrize("first, second", [
+    (TimeoutError(), ConnectionError("refused")),
+    (ConnectionError("refused"), TimeoutError()),
+])
+def test_live_raises_the_last_attempts_error(first, second):
+    """An earlier timeout does not make a connection error a timeout."""
+    transport = FakeTransport([first, second, ConnectionError("connection refused")])
+    with pytest.raises(EndpointError, match="connection refused") as info:
+        complete(req(), Live("https://example.invalid"), transport=transport, sleep=no_sleep)
+    assert info.value.status is None
+    assert len(transport.calls) == RETRY_ATTEMPTS
+
+
 @pytest.mark.parametrize(
     "error, surfaced",
     [

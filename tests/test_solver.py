@@ -627,6 +627,62 @@ def _sympy_real_roots(sympy, coefficients):
     return [F(int(r.p), int(r.q)) if r.is_Rational else float(r.evalf(50)) for r in roots]
 
 
+def _oracle_factors(rng):
+    """Integer factors of a random polynomial of degree 1-8: x, rational
+    linear factors of both signs, quadratics with irrational or no real
+    roots, and dense ones; a factor is sometimes repeated."""
+    degree, factors = rng.randint(1, 8), []
+    while sum(len(f) - 1 for f in factors) < degree:
+        room, kind = degree - sum(len(f) - 1 for f in factors), rng.random()
+        if kind < 0.2:
+            factors.append([0, 1])
+        elif kind < 0.55 or room < 2:
+            factors.append([rng.randint(-40, 40), rng.randint(1, 9)])
+        elif kind < 0.8:
+            factors.append([rng.randint(-50, 50), rng.randint(-20, 20), rng.randint(1, 9)])
+        else:
+            factors.append([rng.randint(-9, 9) for _ in range(min(room, 3))] + [rng.choice([-2, -1, 1, 3])])
+        if rng.random() < 0.2:
+            factors.append(list(factors[-1]))
+    return factors
+
+
+def test_real_roots_agree_with_sympy():
+    """real_roots itself against SymPy on seeded integer polynomials with
+    zero roots, roots of both signs, repeated roots and poles: each
+    rational root an equal Fraction, each irrational one the correctly
+    rounded float, exactly float(r.evalf(80)), all in ascending order."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random("oracle-real-roots")
+    seen = Counter()
+    for _ in range(300):
+        factors = _oracle_factors(rng)
+        coefficients = [rng.choice([-3, -1, 1, 2])]
+        for factor in factors:
+            coefficients = _times(coefficients, factor)
+        poles = [1]
+        if rng.random() < 0.4:
+            for factor in rng.sample(factors, rng.randint(1, len(factors))):
+                poles = _times(poles, factor)
+            if rng.random() < 0.3:
+                poles = _times(poles, [rng.randint(-5, 5), 1])
+        coefficients, poles = [int(c) for c in coefficients], [int(c) for c in poles]
+        poly = sympy.Poly(coefficients[::-1], x)
+        kept = poly.sqf_part()
+        kept = kept.quo(kept.gcd(sympy.Poly(poles[::-1], x)))
+        expected = sorted(set(kept.real_roots()), key=lambda r: r.evalf(80))
+        expected = [F(int(r.p), int(r.q)) if r.is_Rational else float(r.evalf(80)) for r in expected]
+        got = real_roots(coefficients, poles)
+        assert got == expected and list(map(type, got)) == list(map(type, expected)), (coefficients, poles)
+        seen.update(
+            zero=coefficients[0] == 0, negative=any(r < 0 for r in got), positive=any(r > 0 for r in got),
+            repeated=poly.sqf_part().degree() < poly.degree(), poles=len(poles) > 1,
+            irrational=any(isinstance(r, float) for r in got),
+        )
+    assert min(seen.values()) >= 30, seen
+
+
 @pytest.mark.parametrize("kind", ["rational", "irrational", "no-real-root"])
 def test_univariate_roots_agree_with_sympy(kind):
     """The whole candidate set against SymPy's real roots: rational roots as
@@ -929,6 +985,15 @@ def test_candidates_past_the_float_range_stay_apart_from_float_candidates():
     assert outcome.candidates == (-math.sqrt(2), F(0), math.sqrt(2), F(10**400))
     assert isinstance(outcome.candidates[-1], F)
     assert outcome.selected == 0 and isinstance(outcome.selected, F)
+
+
+def test_irrational_roots_past_the_float_range():
+    """An irrational root beyond the largest float cannot be rounded to
+    one, and fails typed; one just inside the range is correctly rounded."""
+    with pytest.raises(NumericDivergenceError, match="an irrational root lies outside the range of a float"):
+        solve_script(script_from_transcript("[[var x]] [[x * x = 2 * 10 ^ 800]] [[answer = x]]"))
+    outcome = solve_script(script_from_transcript("[[var x]] [[x * x * x = 2 * 10 ^ 900]] [[answer = x]]"))
+    assert outcome.candidates == (1.2599210498948732e+300,)
 
 
 def test_roots_closer_than_the_tolerance_stay_apart():
