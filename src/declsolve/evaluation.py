@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from .client import ClientError, ClientMode, CompletionRequest, Transport, complete
-from .exprs import MAX_POWER_BITS, Var, format_rational
+from .exprs import MAX_POWER_BITS, Expr, Var, format_rational
 from .parsing import (
     EqDecl,
     GoalDecl,
@@ -273,6 +273,7 @@ def run_problem(
     mode: ClientMode,
     *,
     transport: Transport | None = None,
+    leaves: dict[str, Expr] | None = None,
 ) -> EvalRecord:
     """Run one problem end to end and classify the result.
 
@@ -283,6 +284,10 @@ def run_problem(
     solve (any `SolverError`, whose type is the failure class) or a missing
     final number a SolverFailure that keeps the script and its warnings, and
     any other error a SolverFailure without them.
+
+    `leaves` is the parser's leaf cache (`parse_declaration`): `run_eval`
+    shares one among its workers, two of which may make two equal nodes
+    for one text, and without it each parse gets a fresh one.
     """
     prompt = assemble_prompt(spec, problem.question)
     request = CompletionRequest(config.model, prompt, config.params, config.stop_sequences)
@@ -294,7 +299,7 @@ def run_problem(
         )
     script, warnings = None, 0
     try:
-        script = _script(spec, transcript)
+        script = _script(spec, transcript, leaves)
         warnings = len(check_principles(script, problem.question))
         outcome, predicted = _answer(spec, script, transcript)
         correct = score(predicted, problem.gold_answer)
@@ -322,20 +327,20 @@ class _Failure(Exception):
     """A stage's typed failure; its args are the record's verdict and detail."""
 
 
-def _script(spec: PromptSpec, transcript: str) -> SolutionScript:
+def _script(spec: PromptSpec, transcript: str, leaves: dict[str, Expr] | None) -> SolutionScript:
     """The completion's script.  Where that fails, the one-step variant
     takes the single-equation convention: one declaration of the form
     ``name = expression``, whose left-hand variable is the implicit goal.
     Fails as a ParseFailure or a ScriptInvalid."""
     try:
-        return script_from_transcript(transcript)
+        return script_from_transcript(transcript, leaves=leaves)
     except ParseError as err:
         raise _Failure(PARSE_FAILURE, str(err))
     except ScriptError as err:
         if spec.variant != VARIANT_ONE_STEP:
             raise _Failure(SCRIPT_INVALID, str(err))
     # script_from_transcript got past parsing every bracket, so this parses.
-    declarations = [parse_declaration(raw, span) for raw, span in extract_brackets(transcript)]
+    declarations = [parse_declaration(raw, span, leaves) for raw, span in extract_brackets(transcript)]
     equations = [d for d in declarations if isinstance(d, EqDecl)]
     if len(equations) != 1 or not isinstance(equations[0].lhs, Var):
         raise _Failure(SCRIPT_INVALID, "expected exactly one equation with a variable on the left")
@@ -456,10 +461,12 @@ def run_eval(
         handle.write(json.dumps({"meta": snapshot}, sort_keys=True, ensure_ascii=False) + "\n")
         handle.flush()
 
+    leaves: dict[str, Expr] = {}  # the run's one node per name or numeral text
+
     def solve(problem: Problem) -> EvalRecord:
         # run_problem is looked up at call time, so a wrapper installed on
         # this module (to time or trace each problem) sees every call.
-        return run_problem(problem, spec, config, mode, transport=transport)
+        return run_problem(problem, spec, config, mode, transport=transport, leaves=leaves)
 
     records: list[EvalRecord] = []
     try:

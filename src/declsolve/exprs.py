@@ -2,8 +2,8 @@
 
 Every value in the pipeline is a `fractions.Fraction`, so evaluation,
 substitution and polynomial expansion never round.  Trees are immutable, so
-one node may sit in many trees: a parsed script shares one leaf per name or
-numeral text among all its equations.  Trees are never simplified on
+one node may sit in many trees: the scripts of one evaluation run share one
+leaf per name or numeral text among all their equations.  Trees are never simplified on
 construction: `x + 0` stays `x + 0` so that parsed text round-trips exactly.
 Simplification belongs to the solver.
 

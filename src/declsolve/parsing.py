@@ -19,8 +19,9 @@ Expression grammar (no implicit multiplication)::
 Decimal numerals parse as exact rationals (`0.25` -> 1/4).  At most
 MAX_NESTING levels nest; deeper input is an ExprSyntaxError.  A body is
 parsed from its token texts alone, and positions are found only for an
-error.  The declarations of one transcript share one node per name or
-numeral text.
+error.  Every parse of one run (see `script_from_transcript`) shares one
+node per name or numeral text, and a declaration holds its leaf's name
+string.
 
 A parsed script is checked against five structural rules: every statement
 is a declaration (1), the goal comes last (2), equations use only
@@ -222,7 +223,7 @@ def _climb(texts: list[str], i: int, min_prec: int, depth: int, leaves: dict[str
                 node = Num(value)
             leaves[text] = node
         if type(node) is Var:
-            names[text] = None
+            names[node.name] = None
         else:
             numerals.append(node.value)
         i += 1
@@ -333,15 +334,26 @@ def extract_brackets(text: str) -> list[tuple[str, Span]]:
     return found
 
 
+def _name(text: str, leaves: dict[str, Expr]) -> str:
+    """The name string of the one Var `leaves` holds for `text`."""
+    node = leaves.get(text)
+    if node is None:
+        node = leaves[text] = Var(text)
+    return node.name
+
+
 def parse_declaration(
     raw: str, span: Span | None = None, leaves: dict[str, Expr] | None = None
 ) -> Declaration:
     """Parse one bracket body into a declaration.
 
     `leaves` maps each name and numeral text to the one node that stands for
-    it; the declarations of one transcript share it, and a lone call gets a
-    fresh one.  Trees are immutable, so a node may sit in many of them.
+    it, and every name the declaration holds is its node's string.  The
+    parses of one run share it, and a lone call gets a fresh one.  Trees are
+    immutable, so a node may sit in many of them.  Threads may share it
+    without a lock: two that meet a new text at once make two equal nodes.
     """
+    leaves = {} if leaves is None else leaves
     texts = _TEXT_RE.findall(raw)
     texts.append("")  # the end of the body
     try:
@@ -351,14 +363,13 @@ def parse_declaration(
         if not equals:
             # Only remaining legal form: `var <ident>`.
             if len(texts) == 3 and texts[0] == "var" and texts[1][0] in _NAME_START:
-                return VarDecl(texts[1], span)
+                return VarDecl(_name(texts[1], leaves), span)
             raise _Stop(0, {"'var <name>'", "'<expr> = <expr>'"})
         split = texts.index("=")
         if split == 1 and texts[0] == RESERVED_GOAL_NAME:
             if len(texts) == 4 and texts[2][0] in _NAME_START:
-                return GoalDecl(texts[2], span)
+                return GoalDecl(_name(texts[2], leaves), span)
             raise _Stop(2, {"a variable name"})
-        leaves = {} if leaves is None else leaves
         lhs_names, rhs_names, numerals = {}, {}, []
         lhs, i = _climb(texts, 0, 0, 0, leaves, lhs_names, numerals)
         if i == split:
@@ -423,12 +434,17 @@ def build_script(decls: list[Declaration] | tuple[Declaration, ...]) -> Solution
     return SolutionScript(decls, first_goal.name)
 
 
-def script_from_transcript(text: str) -> SolutionScript:
-    """Extract, parse, and validate every declaration in a transcript."""
+def script_from_transcript(text: str, leaves: dict[str, Expr] | None = None) -> SolutionScript:
+    """Extract, parse, and validate every declaration in a transcript.
+
+    `leaves` is `parse_declaration`'s, which `run_eval` shares among the
+    transcripts of a run (two threads may make two equal nodes for one
+    text); without it, the transcript's declarations share a fresh one.
+    """
     brackets = extract_brackets(text)
     if not brackets:
         raise NoDeclarationsError()
-    leaves: dict[str, Expr] = {}
+    leaves = {} if leaves is None else leaves
     return build_script([parse_declaration(raw, span, leaves) for raw, span in brackets])
 
 

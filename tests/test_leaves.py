@@ -2,8 +2,9 @@
 
 The parser notes each side's variable names and every numeral as it builds
 the leaves; validation, the rule-5 check and the solver read those records
-instead of walking the trees again.  Nodes and declarations are slotted,
-and `==`, `hash()` and `repr()` on a node take a tree of any depth.
+instead of walking the trees again.  Every parse of one evaluation run
+shares one leaf node per name or numeral text.  Nodes and declarations are
+slotted, and `==`, `hash()` and `repr()` on a node take a tree of any depth.
 """
 
 from dataclasses import FrozenInstanceError, fields
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from declsolve import exprs, solver
+from declsolve.client import CompletionRequest, Replay, append_record
+from declsolve.evaluation import CORRECT, Problem, RunConfig, run_eval, run_problem
 from declsolve.exprs import (
     Add, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, free_vars, postorder, render,
 )
@@ -27,6 +30,7 @@ from declsolve.parsing import (
     parse_expression,
     script_from_transcript,
 )
+from declsolve.prompts import VARIANT_ONE_STEP, Exemplar, PromptSpec, assemble_prompt
 from declsolve.solver import EquationSystem, solve_script, solve_system
 
 NAMES = st.sampled_from(["x", "y", "total", "_t2", "b1"])
@@ -167,7 +171,7 @@ def test_a_parsed_reversed_chain_walks_each_equation_about_once(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# One node per leaf text in a transcript
+# One node per leaf text in a transcript, and in a run
 
 def test_a_parsed_reversed_chain_shares_one_node_per_name_and_numeral():
     n = 400
@@ -190,6 +194,98 @@ def test_a_parsed_reversed_chain_shares_one_node_per_name_and_numeral():
             assert side == fresh
             assert hash(side) == hash(fresh)
             assert render(side) == render(fresh)
+
+
+CONFIG = RunConfig(model="test-model")
+DECLARATIVE = PromptSpec(
+    "declarative_principles",
+    (Exemplar("One plus one?", "Sum [[var s]], [[s = 1 + 1]], [[answer = s]]."),),
+)
+ONE_STEP = PromptSpec(VARIANT_ONE_STEP, (Exemplar("One plus one?", "Sum [[s = 1 + 1]]."),))
+
+# Transcripts that reuse the names `total` and the numerals 12 and 3.
+DECLARATIVE_RUN = [
+    ("A box holds 12 apples. How many in 3 boxes?", 36,
+     "[[var per_box]] [[per_box = 12]] [[var total]] [[total = per_box * 3]] [[answer = total]]"),
+    ("Tom has 12 marbles and finds 5. How many now?", 17,
+     "[[var start]] [[start = 12]] [[var total]] [[total = start + 5]] [[answer = total]]"),
+    ("3 friends share 12 cookies. How many each?", 4,
+     "[[var total]] [[total = 12]] [[var each]] [[each = total / 3]] [[answer = each]]"),
+    ("What is 5 times 3?", 15, "[[var total]] [[total = 5 * 3]] [[answer = total]]"),
+]
+# One-step transcripts: each is solved through the single-equation fallback.
+ONE_STEP_RUN = [
+    ("A box holds 12 apples. How many in 3 boxes?", 36, "So [[total = 12 * 3]]."),
+    ("Tom has 12 marbles and finds 5. How many now?", 17, "So [[total = 12 + 5]]."),
+    ("3 friends share 12 cookies. How many each?", 4, "So [[each = 12 / 3]]."),
+]
+
+
+def _replay(tmp_path, spec, rows):
+    """Problems and a cassette that answers each with its transcript."""
+    path = tmp_path / "cassette.jsonl"
+    problems = []
+    for i, (question, gold, transcript) in enumerate(rows):
+        request = CompletionRequest(
+            CONFIG.model, assemble_prompt(spec, question), CONFIG.params, CONFIG.stop_sequences
+        )
+        append_record(path, request, transcript)
+        problems.append(Problem(f"p{i}", question, Fraction(gold)))
+    return problems, Replay(str(path))
+
+
+def _leaf_nodes(script):
+    """Every Var and Num in the script's equations."""
+    return [
+        node
+        for eq in script.equations
+        for side in (eq.lhs, eq.rhs)
+        for node in postorder(side)
+        if type(node) in (Var, Num)
+    ]
+
+
+def _names(script):
+    """Every name string a script's declarations hold outside its trees."""
+    held = [d.name for d in script.declarations if isinstance(d, (VarDecl, GoalDecl))]
+    held += [name for eq in script.equations for name in (*eq.lhs_names, *eq.rhs_names)]
+    return [*held, script.goal]
+
+
+@pytest.mark.parametrize("spec, rows", [(DECLARATIVE, DECLARATIVE_RUN), (ONE_STEP, ONE_STEP_RUN)],
+                         ids=["declarative", "one-step"])
+def test_a_run_shares_one_node_per_name_and_numeral(tmp_path, spec, rows):
+    problems, mode = _replay(tmp_path, spec, rows)
+    report = run_eval(problems, spec, mode, CONFIG, workers=1)
+    assert [r.verdict for r in report.records] == [CORRECT] * len(rows)
+
+    nodes = {}  # a name or numeral value -> the first node met for it
+    for record in report.records:
+        for node in _leaf_nodes(record.script):
+            key = node.name if type(node) is Var else node.value
+            assert nodes.setdefault(key, node) is node, key
+    assert {"total", Fraction(12), Fraction(3)} <= nodes.keys()
+    for record in report.records:
+        for name in _names(record.script):
+            assert name is nodes[name].name, name
+
+    # A lone run_problem parses its transcript with fresh leaves.
+    for problem, record in zip(problems, report.records):
+        assert record == run_problem(problem, spec, CONFIG, mode)
+
+
+def test_leaves_live_for_one_run_only(tmp_path):
+    problems, mode = _replay(tmp_path, DECLARATIVE, DECLARATIVE_RUN)
+    first, second = (run_eval(problems, DECLARATIVE, mode, CONFIG) for _ in range(2))
+    assert first.records == second.records
+    ids = [{id(n) for r in report.records for n in _leaf_nodes(r.script)} for report in (first, second)]
+    assert not ids[0] & ids[1]
+
+    transcript = DECLARATIVE_RUN[0][2]
+    one, two = script_from_transcript(transcript), script_from_transcript(transcript)
+    assert one == two
+    assert not {id(n) for n in _leaf_nodes(one)} & {id(n) for n in _leaf_nodes(two)}
+    assert one.goal is not two.goal
 
 
 # --------------------------------------------------------------------------
