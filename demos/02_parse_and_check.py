@@ -8,7 +8,14 @@ builds a script, and shows how the structural rules are enforced.
     python3 demos/02_parse_and_check.py
 """
 
-from declsolve import check_transcript, extract_brackets, render_script, script_from_transcript
+from declsolve import (
+    ScriptError,
+    check_principles,
+    extract_brackets,
+    render_script,
+    script_from_transcript,
+    solve_script,
+)
 
 transcript = (
     "Maya sells lemonade at 3 dollars a cup. Let [[var cups]] be the cups sold "
@@ -31,18 +38,23 @@ print(render_script(script))
 # 3. equations only mention variables already introduced
 # 4. no variable is introduced twice
 # 5. every number in the question should appear in some equation (warning)
+#
+# Rules 1-4 are checked as the script is built: `script_from_transcript`
+# raises a ParseError or ScriptError whose `principle` is the rule broken.
+# Rule 5 only warns: `check_principles` returns the unused question numbers.
 
 question = "Cups cost 3 dollars. Maya sold 12 cups, then 8 more. Revenue?"
-result = check_transcript(transcript, question)
-print("all rules satisfied:", result.error is None and not result.unused_question_numbers)
+print("all rules satisfied:", check_principles(script, question) == ())
 
 # A forward reference trips rule 3 — `spent` is used before it exists.
 bad = "Start from [[var left]] with [[left = 50 - spent]]. Then [[var spent]], [[spent = 20]], [[answer = left]]."
-result = check_transcript(bad, "You have 50 and spend 20. What is left?")
-print(f"rule {result.error.principle} violated: {result.error}")
+try:
+    script_from_transcript(bad)
+except ScriptError as err:
+    print(f"rule {err.principle} violated: {err}")
 
 # Unused question numbers only warn — the script is still solvable.
-lazy = "Take [[var n]] where [[n = 6 * 7]], then [[answer = n]]."
-result = check_transcript(lazy, "Multiply 6 by 7. Ignore 100. Result?")
-print("ok despite warning:", result.error is None)
-print("unused numbers:", [str(n) for n in result.unused_question_numbers])
+lazy = script_from_transcript("Take [[var n]] where [[n = 6 * 7]], then [[answer = n]].")
+unused = check_principles(lazy, "Multiply 6 by 7. Ignore 100. Result?")
+print("unused numbers:", [str(n) for n in unused])
+print("solves despite the warning:", solve_script(lazy).selected)

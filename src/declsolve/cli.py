@@ -33,7 +33,7 @@ from .evaluation import (
     run_problem,
 )
 from .exprs import format_rational
-from .parsing import check_transcript, render_script
+from .parsing import ParseError, ScriptError, check_principles, render_script, script_from_transcript
 from .prompts import (
     DEFAULT_STOP_SEQUENCES,
     VARIANT_PRINCIPLES,
@@ -55,6 +55,8 @@ def _load_config(path: str | None) -> dict:
             config = json.load(handle)
         except json.JSONDecodeError as err:
             raise SystemExit(f"config: {path} is not JSON ({err})")
+        except UnicodeDecodeError as err:
+            raise SystemExit(f"config: {path} is not UTF-8 text ({err.reason})")
     if not isinstance(config, dict):
         raise SystemExit(f"config: {path} must hold a JSON object")
     text_keys = ("model", "endpoint", "credential_env")
@@ -99,7 +101,9 @@ def _client_mode(args: argparse.Namespace, config: dict):
             credential_env=config.get("credential_env", DEFAULT_CREDENTIAL_ENV),
             timeout=timeout,
         )
-    except ValueError as err:  # the mode reads its cassette as it is made
+    except UnicodeDecodeError as err:  # the mode reads its cassette as it is made
+        raise SystemExit(f"cassette: {args.cassette}: not UTF-8 text ({err.reason})")
+    except ValueError as err:
         raise SystemExit(f"cassette: {err}")
 
 
@@ -172,15 +176,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    text = Path(args.transcript).read_text(encoding="utf-8")
-    result = check_transcript(text, args.question or "")
-    if result.error is not None:
-        print(f"violation (principle {result.error.principle}): {result.error}")
+    try:
+        script = script_from_transcript(Path(args.transcript).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        print(f"{args.transcript}: not UTF-8 text ({err.reason})", file=sys.stderr)
+        return 1
+    except (ParseError, ScriptError) as err:
+        print(f"violation (principle {err.principle}): {err}")
         return 1
     print("script:")
-    for line in render_script(result.script).splitlines():
+    for line in render_script(script).splitlines():
         print(f"  {line}")
-    unused = [format_rational(n) for n in result.unused_question_numbers]
+    unused = [format_rational(n) for n in check_principles(script, args.question or "")]
     for number in unused:
         print(f"warning (principle 5): question number {number} is not used in any equation")
     if unused:

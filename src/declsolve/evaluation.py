@@ -22,7 +22,7 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -184,7 +184,7 @@ def load_algebra(path: str | Path) -> list[Problem]:
     problems: list[Problem] = []
     if path.suffix.lower() in (".csv", ".tsv"):
         dialect = "excel-tab" if path.suffix.lower() == ".tsv" else "excel"
-        with open(path, encoding="utf-8", newline="") as handle:
+        with _open_text(path, newline="") as handle:
             reader = csv.DictReader(handle, dialect=dialect)
             if not {"question", "answer"} <= set(reader.fieldnames or ()):
                 raise DatasetError(f"{path}: a CSV needs 'question' and 'answer' columns")
@@ -207,7 +207,7 @@ def _jsonl_records(path: str | Path, id_prefix: str) -> Iterator[tuple[str, dict
     `<id_prefix>-NNNN` for its line index, blank lines counted.  A line that
     is not a JSON object with `question` and `answer`, or whose `question`
     is not non-empty text, is a DatasetError."""
-    with open(path, encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         for index, line in enumerate(handle):
             line = line.strip()
             if line:
@@ -220,6 +220,16 @@ def _jsonl_records(path: str | Path, id_prefix: str) -> Iterator[tuple[str, dict
                 if not isinstance(record["question"], str) or not record["question"]:
                     raise DatasetError(f"{path}:{index + 1}: 'question' must be non-empty text")
                 yield str(record.get("id", f"{id_prefix}-{index:04d}")), record
+
+
+@contextmanager
+def _open_text(path: str | Path, newline: str | None = None) -> Iterator[io.TextIOBase]:
+    """`path` opened as UTF-8 text, where a byte that does not decode is a DatasetError."""
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as err:
+            raise DatasetError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def _require_unique_ids(problems: list[Problem], path: str | Path) -> None:

@@ -297,8 +297,13 @@ def exact_power(base: Fraction, power: Fraction | int) -> Fraction:
     root of `base` when that root is rational, else NonIntegerExponentError
     (a negative base has none).  Raises ExponentTooLargeError when |p| or q
     exceeds MAX_EXPONENT or the result could exceed MAX_POWER_BITS, and
-    DivisionByZeroError for zero to a negative power.
+    DivisionByZeroError for zero to a negative power.  Any power of 0 or 1,
+    and an integer power of -1, is exact whatever its size.
     """
+    if base in (0, 1) or base == -1 and power.denominator == 1:
+        if base == 0 and power < 0:
+            raise DivisionByZeroError("zero raised to a negative power")
+        return base ** int(power) if power.denominator == 1 else base
     if power.denominator != 1:
         if power.denominator > MAX_EXPONENT:
             raise ExponentTooLargeError(power)
@@ -310,20 +315,18 @@ def exact_power(base: Fraction, power: Fraction | int) -> Fraction:
     size = base.numerator.bit_length() + base.denominator.bit_length()
     if abs(power) > MAX_EXPONENT or size * abs(power) > MAX_POWER_BITS:
         raise ExponentTooLargeError(power)
-    if base == 0 and power < 0:
-        raise DivisionByZeroError("zero raised to a negative power")
     return base**power
 
 
 def rounded_power(base: Fraction, power: Fraction) -> Fraction | float:
     """`exact_power`, or a float where that refuses the power for want of an
-    exact root or for size and a nonzero base has a real power: the sign of
-    an odd integer power times exp(power * log|base|).  A float is a rounded
+    exact root or for size and the base has a real power: the sign of an
+    odd integer power times exp(power * log|base|).  A float is a rounded
     result; one past the float range raises ExponentTooLargeError."""
     try:
         return exact_power(base, power)
     except (NonIntegerExponentError, ExponentTooLargeError):
-        if base == 0 or base < 0 and power.denominator != 1:
+        if base < 0 and power.denominator != 1:
             raise
     sign = -1 if base < 0 and power.numerator % 2 else 1
     try:

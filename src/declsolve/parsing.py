@@ -487,29 +487,3 @@ def check_principles(script: SolutionScript, question: str) -> tuple[Fraction, .
         if key not in used and not (text[-1] == "%" and (face / 100).as_integer_ratio() in used):
             unused.append(face)
     return tuple(unused)
-
-
-@dataclass(frozen=True, slots=True)
-class TranscriptCheck:
-    """Outcome of parsing a transcript and checking its rules: the script or
-    the error that stopped the parse, whose `principle` is the rule it
-    breaks, and the question numbers that no equation uses (rule 5)."""
-
-    script: SolutionScript | None
-    error: ParseError | ScriptError | None
-    unused_question_numbers: tuple[Fraction, ...]
-
-
-def check_transcript(text: str, question: str = "") -> TranscriptCheck:
-    """Parse a transcript and map any failure onto the rule it violates.
-
-    Parse-level failures (a statement that neither introduces a variable nor
-    states an equation) break rule 1; goal problems rule 2; forward
-    references rule 3; duplicate introductions rule 4.  A valid script
-    additionally gets the rule-5 number-usage scan against the question.
-    """
-    try:
-        script = script_from_transcript(text)
-    except (ScriptError, ParseError) as err:
-        return TranscriptCheck(None, err, ())
-    return TranscriptCheck(script, None, check_principles(script, question))

@@ -17,7 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .parsing import ParseError, ScriptError, extract_brackets, script_from_transcript
+from .exprs import Var
+from .parsing import EqDecl, ParseError, ScriptError, extract_brackets, parse_declaration, script_from_transcript
 
 QUESTION_PREFIX = "Question: "
 SOLUTION_PREFIX = "Solution:"
@@ -141,20 +142,24 @@ class PromptSpec:
             raise ValueError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        # One-step exemplars hold one bare equation; the others, full scripts.
+        # One-step exemplars hold one `name = expr` binding, the shape the
+        # one-step variant reads back; the others, full scripts.
         for i, ex in enumerate(self.exemplars):
-            if self.variant == VARIANT_ONE_STEP:
-                brackets = extract_brackets(ex.solution)
-                if len(brackets) != 1:
-                    raise ValueError(
-                        f"one-step exemplar {i} must contain exactly one"
-                        f" bracketed declaration, found {len(brackets)}"
-                    )
-            else:
-                try:
+            try:
+                if self.variant == VARIANT_ONE_STEP:
+                    brackets = extract_brackets(ex.solution)
+                    if len(brackets) != 1:
+                        raise ValueError(
+                            f"one-step exemplar {i} must contain exactly one"
+                            f" bracketed declaration, found {len(brackets)}"
+                        )
+                    decl = parse_declaration(*brackets[0])
+                    if not (isinstance(decl, EqDecl) and isinstance(decl.lhs, Var)):
+                        raise ValueError(f"one-step exemplar {i} must bind a name, not [[{brackets[0][0]}]]")
+                else:
                     script_from_transcript(ex.solution)
-                except (ParseError, ScriptError) as err:
-                    raise InvalidExemplarScript(i, err) from err
+            except (ParseError, ScriptError) as err:
+                raise InvalidExemplarScript(i, err) from err
 
 
 def assemble_prompt(spec: PromptSpec, question: str) -> str:

@@ -22,7 +22,7 @@ from declsolve import solver
 from declsolve.client import CompletionRequest, Live, Replay, append_record, fingerprint
 from declsolve.evaluation import RunConfig, load_gsm8k, run_eval, run_problem
 from declsolve.exprs import Add, Div, Mul, Neg, Num, Pow, Sub, Var, render
-from declsolve.parsing import check_transcript, parse_expression
+from declsolve.parsing import parse_expression
 from declsolve.prompts import (
     VARIANT_LLM_SOLVES,
     VARIANT_ONE_STEP,
@@ -35,7 +35,7 @@ from declsolve.prompts import (
 )
 from declsolve.solver import EquationSystem, solve_linear
 
-from test_principle_fixtures import FIXTURES, flagged
+from test_principle_fixtures import FIXTURES, flagged, stages
 
 F = Fraction
 REPLAY_DIR = Path(__file__).parent / "data" / "replay"
@@ -177,7 +177,7 @@ def test_parser_round_trip_suite():
 def test_principle_enforcement_suite():
     mismatches = []
     for name, (transcript, question, expect_fail, expect_warn) in sorted(FIXTURES.items()):
-        if flagged(check_transcript(transcript, question)) != (expect_fail, expect_warn):
+        if flagged(stages(transcript, question)) != (expect_fail, expect_warn):
             mismatches.append(name)
     _verdict(
         "principle-fixtures-exact-flagging",

@@ -16,6 +16,8 @@ from declsolve.cli import DEFAULT_MODEL, main
 from declsolve.client import CompletionRequest, append_record
 from declsolve.prompts import assemble_prompt, spec_for_variant
 
+from test_principle_fixtures import FIXTURES
+
 REPLAY = Path(__file__).parent / "data" / "replay"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
@@ -51,6 +53,37 @@ def test_check_question_flag_warns_on_unused_numbers(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "warning (principle 5)" in out
     assert "unused question numbers: 7, 9" in out
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_check_reports_each_principle_fixture(tmp_path, capsys, name):
+    """`declsolve check` joins the two stages: a rule 1-4 violation is one
+    line and exit 1; a valid script prints one rule-5 warning per unused
+    question number and exits 0."""
+    transcript, question, failures, warnings = FIXTURES[name]
+    f = tmp_path / "t.txt"
+    f.write_text(transcript, encoding="utf-8")
+    code = main(["check", str(f), "--question", question])
+    lines = capsys.readouterr().out.splitlines()
+    if failures:
+        (principle,) = failures
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"violation (principle {principle}): ")
+    else:
+        assert code == 0
+        assert lines[0] == "script:" and lines[-1] == "ok"
+        assert not any(line.startswith("violation") for line in lines)
+        warned = [line for line in lines if line.startswith("warning (principle 5): question number ")]
+        assert len(warned) == len(warnings)
+
+
+def test_check_rejects_a_transcript_that_is_not_utf8(tmp_path, capsys):
+    f = tmp_path / "t.txt"
+    f.write_bytes(b"[[var x]] [[x = 1]] \xff [[answer = x]]")
+    assert main(["check", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{f}: not UTF-8 text (invalid start byte)\n"
 
 
 # --- solve ---------------------------------------------------------------
@@ -274,6 +307,22 @@ BAD_INPUTS = {
         {"problems.jsonl": GOOD_LINE + "\n", "c.jsonl": '{"neither": 1}\n'}, [],
         "cassette: c.jsonl:1: unrecognized cassette line",
     ),
+    "dataset-jsonl-not-utf8": (
+        {"problems.jsonl": GOOD_LINE.encode() + b"\n\xff\n"}, [],
+        "problems.jsonl: not UTF-8 text (invalid start byte)",
+    ),
+    "dataset-csv-not-utf8": (
+        {"problems.csv": b"question,answer\nQ\xff?,4\n"}, ["--format", "algebra", "--dataset", "problems.csv"],
+        "problems.csv: not UTF-8 text (invalid start byte)",
+    ),
+    "config-not-utf8": (
+        {"problems.jsonl": GOOD_LINE + "\n", "config.json": b'{"model": "\xff"}'}, ["--config", "config.json"],
+        "config: config.json is not UTF-8 text (invalid start byte)",
+    ),
+    "cassette-not-utf8": (
+        {"problems.jsonl": GOOD_LINE + "\n", "c.jsonl": b"\xff\n"}, [],
+        "cassette: c.jsonl: not UTF-8 text (invalid start byte)",
+    ),
 }
 
 
@@ -283,7 +332,7 @@ def test_eval_bad_input_file_fails_in_one_line(tmp_path, probe):
     exit status 1, never as a traceback, and no report is written."""
     files, extra, message = BAD_INPUTS[probe]
     for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     argv = ["eval", "--dataset", "problems.jsonl", "--format", "gsm8k",
             "--cassette", "c.jsonl", "--out", "out", *extra]
     src = Path(declsolve.__file__).resolve().parent.parent

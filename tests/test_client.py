@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -60,6 +61,17 @@ def no_sleep(_):
 
 def test_fingerprint_is_stable():
     assert fingerprint(req()) == fingerprint(req())
+
+
+def test_fingerprint_is_the_sha256_of_the_canonical_request_json():
+    """Sorted keys, no whitespace, non-ASCII text as UTF-8 bytes, the params
+    nested under "params" and the stop sequences under "stop"."""
+    request = CompletionRequest("m-1", "Q: caf\u00e9?", DecodingParams(0.5, 64), ("Question:", "\n\n"))
+    canonical = (
+        b'{"model":"m-1","params":{"max_tokens":64,"n_samples":1,"temperature":0.5},'
+        b'"prompt":"Q: caf\xc3\xa9?","stop":["Question:","\\n\\n"]}'
+    )
+    assert fingerprint(request) == hashlib.sha256(canonical).hexdigest()
 
 
 def test_fingerprint_sensitive_to_prompt_bytes():

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from declsolve.exprs import (
     MAX_EXPONENT,
@@ -140,12 +140,42 @@ def test_rounded_power_rounds_whatever_exact_power_refuses_that_has_a_real_value
     for base, power, error in (
         (Fraction(-4), Fraction(1, 2), NonIntegerExponentError),
         (-near_one, Fraction(1, MAX_EXPONENT + 1), ExponentTooLargeError),
-        (Fraction(0), Fraction(MAX_EXPONENT + 1), ExponentTooLargeError),
         (Fraction(2), Fraction(MAX_EXPONENT + 1), ExponentTooLargeError),
         (Fraction(10**10), Fraction(10**300), ExponentTooLargeError),
     ):
         with pytest.raises(error):
             rounded_power(base, power)
+
+def test_powers_of_zero_one_and_minus_one_are_exact_whatever_their_size():
+    """0 and 1 to any power, and -1 to an integer power, pass the size checks
+    that refuse other bases; zero to a negative power still divides by zero,
+    and a fractional power of -1 keeps its error."""
+    big = MAX_EXPONENT + 1
+    for base, power, expected in (
+        (0, big, 0),
+        (0, 2 * MAX_EXPONENT, 0),
+        (0, Fraction(1, 2 * MAX_EXPONENT), 0),
+        (0, 0, 1),
+        (1, big, 1),
+        (1, -(10**300), 1),
+        (1, Fraction(1, 2 * MAX_EXPONENT), 1),
+        (-1, big, -1),
+        (-1, big + 1, 1),
+        (-1, -big, -1),
+    ):
+        for power_of in (exact_power, rounded_power):
+            value = power_of(Fraction(base), Fraction(power))
+            assert type(value) is Fraction and value == expected, (power_of.__name__, base, power)
+    for base, power, error in (
+        (0, -big, DivisionByZeroError),
+        (0, Fraction(-1, 2 * MAX_EXPONENT), DivisionByZeroError),
+        (-1, Fraction(1, 3), NonIntegerExponentError),
+        (-1, Fraction(1, big), ExponentTooLargeError),
+    ):
+        for power_of in (exact_power, rounded_power):
+            with pytest.raises(error):
+                power_of(Fraction(base), Fraction(power))
+
 
 def test_eval_exact_errors():
     with pytest.raises(UnboundVariableError):
@@ -381,6 +411,9 @@ def test_free_vars_matches_unbound_failures(e):
 #   over); those powers now fold exactly up to MAX_EXPONENT;
 # - both computed a power however large its result; one over MAX_POWER_BITS
 #   now raises ExponentTooLargeError.
+# The `linear_form` copy also takes an integer power of a constant 0, 1 or -1
+# through `exact_power`, which folds it exactly at any size where the old
+# code refused an exponent over MAX_EXPONENT.
 # Each also folds a constant base with a constant fractional exponent through
 # `_fold_fractional`, where both gave up on it as non-polynomial: that power
 # now folds through `exact_power`, as in `eval_exact`, and stays
@@ -474,6 +507,8 @@ def _reference_linear_form(expr):
         power = int(exponent.constant)
         base = _reference_linear_form(expr.base)
         if not base.coefficients:
+            if base.constant in (0, 1, -1):  # exact at any size
+                return LinearForm({}, exact_power(base.constant, power))
             if abs(power) > MAX_EXPONENT:
                 raise ExponentTooLargeError(power)
             if base.constant == 0 and power < 0:
@@ -662,6 +697,7 @@ def _agrees_with_eval(expr, terms):
 
 @settings(max_examples=400, deadline=None)
 @given(_diff_expressions(["x", "y", "z"]))
+@example(Pow(Num(Fraction(0)), Num(Fraction(MAX_EXPONENT + 1))))
 def test_linear_form_matches_old_linear_form(expr):
     """The same terms as the old LinearForm, or the same error type at the
     first subtree in post-order that fails; a constant power over

@@ -22,7 +22,6 @@ from declsolve.exprs import (
 from declsolve.parsing import (
     EqDecl,
     GoalDecl,
-    TranscriptCheck,
     VarDecl,
     check_principles,
     extract_brackets,
@@ -295,10 +294,7 @@ def test_nodes_and_declarations_hold_no_instance_dict():
     x = Var("x")
     nodes = [Num(1), x, Neg(x), Add(x, x), Sub(x, x), Mul(x, x), Div(x, x), Pow(x, x)]
     script = script_from_transcript("[[var x]] [[x = 1]] [[answer = x]]")
-    others = [
-        VarDecl("x"), EqDecl(x, Num(1)), GoalDecl("x"), script,
-        TranscriptCheck(script, None, ()),
-    ]
+    others = [VarDecl("x"), EqDecl(x, Num(1)), GoalDecl("x"), script]
     for instance in nodes + others:
         assert not hasattr(instance, "__dict__"), type(instance).__name__
     with pytest.raises(FrozenInstanceError):

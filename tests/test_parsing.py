@@ -23,7 +23,6 @@ from declsolve.parsing import (
     VarDecl,
     build_script,
     check_principles,
-    check_transcript,
     extract_brackets,
     parse_declaration,
     parse_expression,
@@ -31,6 +30,7 @@ from declsolve.parsing import (
     script_from_transcript,
 )
 from declsolve.prompts import spec_for_variant
+from declsolve.solver import solve_script
 
 
 def record_for(transcript, gold=Fraction(0)):
@@ -199,6 +199,18 @@ def test_script_structure_errors_carry_principles():
         build_script([VarDecl("answer"), GoalDecl("answer")])
 
 
+def test_var_is_an_ordinary_name_and_only_answer_is_reserved():
+    """`var` opens a declaration only as the first word of a bracket; as a
+    name it parses, binds and solves like any other."""
+    script = script_from_transcript("[[var var]] [[var = 3]] [[answer = var]]")
+    assert script.declarations[:2] == (VarDecl("var"), EqDecl(Var("var"), Num(3)))
+    assert script.goal == "var"
+    assert solve_script(script).selected == 3
+    assert parse_expression("var * 2") == Mul(Var("var"), Num(2))
+    with pytest.raises(ReservedIdentifierError):
+        script_from_transcript("[[var answer]] [[var x]] [[x = 3]] [[answer = x]]")
+
+
 def test_goal_must_reference_declared_variable():
     with pytest.raises(UndeclaredVariableError):
         build_script([VarDecl("x"), EqDecl(Var("x"), Num(1)), GoalDecl("y")])
@@ -258,7 +270,7 @@ def test_check_principles_warns_on_unused_numbers():
     script = script_from_transcript("[[var x]] [[x = 4]] [[answer = x]]")
     unused = check_principles(script, "Tom has 4 apples and 3 pears. How many apples?")
     assert unused == (Fraction(3),)
-    assert check_transcript("[[var x]] [[x = 4]] [[answer = x]]", "Tom has 4 and 3.").error is None
+    assert check_principles(script, "Tom has 4 and 3.") == (Fraction(3),)
 
 
 def test_check_principles_percent_alias_counts_as_used():
@@ -270,27 +282,21 @@ def test_check_principles_percent_alias_counts_as_used():
     assert check_principles(script, "A 30 discount brings the price to 84.") == (Fraction(30),)
 
 
-def test_check_transcript_maps_errors_to_principles():
+def test_transcript_errors_map_to_principles():
     # syntax failure inside a bracket -> principle 1
-    result = check_transcript("[[var x]] [[x ++ = 3]] [[answer = x]]")
-    assert result.script is None
-    assert isinstance(result.error, ExprSyntaxError)
-    assert result.error.principle == 1
+    with pytest.raises(ExprSyntaxError) as info:
+        script_from_transcript("[[var x]] [[x ++ = 3]] [[answer = x]]")
+    assert info.value.principle == 1
     # structural failure keeps its own principle
-    result = check_transcript("[[var x]] [[x = 3]]", "What is 7?")
-    assert result.script is None
-    assert isinstance(result.error, NoGoalError)
-    assert result.error.principle == 2
-    assert result.unused_question_numbers == ()
+    with pytest.raises(NoGoalError) as info:
+        script_from_transcript("[[var x]] [[x = 3]]")
+    assert info.value.principle == 2
 
 
-def test_check_transcript_ok_path():
-    result = check_transcript(
-        "[[var x]] [[x = 12]] [[answer = x]]", question="What is 12?"
-    )
-    assert result.script is not None
-    assert result.error is None
-    assert result.unused_question_numbers == ()
+def test_transcript_stages_ok_path():
+    script = script_from_transcript("[[var x]] [[x = 12]] [[answer = x]]")
+    assert script.goal == "x"
+    assert check_principles(script, "What is 12?") == ()
 
 
 # --- the grammar round-trip property ------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from declsolve.parsing import check_transcript
+from declsolve.parsing import ParseError, ScriptError, check_principles, script_from_transcript
 
 # name -> (transcript, question, expected failure rules, expected warning rules)
 FIXTURES = {
@@ -138,19 +138,30 @@ FIXTURES = {
 }
 
 
+def stages(transcript, question):
+    """The two stages of a check: the error that stops `script_from_transcript`,
+    or else the question numbers that `check_principles` finds unused."""
+    try:
+        script = script_from_transcript(transcript)
+    except (ParseError, ScriptError) as err:
+        return err
+    return check_principles(script, question)
+
+
 def flagged(result):
-    """The failed and the warned rules of a `check_transcript` result: the
-    rule of the error that stopped the parse, and a 5 per unused number."""
-    failures = [] if result.error is None else [result.error.principle]
-    return failures, [5] * len(result.unused_question_numbers)
+    """The failed and the warned rules of a `stages` result: the rule of the
+    error that stopped the parse, or a 5 per unused number."""
+    if isinstance(result, tuple):
+        return [], [5] * len(result)
+    return [result.principle], []
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fixture_flags_exactly_the_seeded_violations(name):
     transcript, question, expected_failures, expected_warnings = FIXTURES[name]
-    result = check_transcript(transcript, question)
+    result = stages(transcript, question)
     assert flagged(result) == (expected_failures, expected_warnings)
-    assert (result.script is None) == bool(expected_failures)
+    assert isinstance(result, (ParseError, ScriptError)) == bool(expected_failures)
 
 
 def test_fixture_suite_is_large_enough():
@@ -161,8 +172,8 @@ def test_fixture_suite_is_large_enough():
 
 
 def test_unused_numbers_are_reported_with_their_face_values():
-    result = check_transcript(
+    result = stages(
         "[[var a]] [[a = 4]] [[answer = a]]",
         "With 4 apples, 3 pears and 9 plums, how many apples?",
     )
-    assert result.unused_question_numbers == (Fraction(3), Fraction(9))
+    assert result == (Fraction(3), Fraction(9))

@@ -120,11 +120,36 @@ def test_prompt_length_monotonicity():
     assert len(without_header) < len(with_one)
 
 
+EX_ONE_STEP = Exemplar("Q", "So [[total = 1 + 1]].")
+
+
 def test_promptspec_one_step_requires_single_declaration():
     with pytest.raises(ValueError):
         PromptSpec(VARIANT_ONE_STEP, (EX,))  # EX has three declarations
     single = Exemplar("Q", "So [[total = 1 + 1]].")
     PromptSpec(VARIANT_ONE_STEP, (single,))
+
+
+@pytest.mark.parametrize(
+    "solution, error",
+    [
+        ("So [[x = ]].", InvalidExemplarScript),
+        ("So [[x = 1 + 1.", InvalidExemplarScript),
+        ("So [[var x]].", ValueError),
+        ("So [[x + 1 = 2]].", ValueError),
+        ("So [[3 = x]].", ValueError),
+        ("So [[answer = x]].", ValueError),
+    ],
+)
+def test_promptspec_one_step_requires_a_name_binding(solution, error):
+    """The one bracket of a one-step exemplar must parse, and bind a name on
+    its left: the shape the one-step variant reads from a completion."""
+    with pytest.raises(error) as info:
+        PromptSpec(VARIANT_ONE_STEP, (EX_ONE_STEP, Exemplar("Q?", solution)))
+    if error is InvalidExemplarScript:
+        assert info.value.index == 1
+    else:
+        assert "one-step exemplar 1 must bind a name, not [[" in str(info.value)
 
 
 def test_promptspec_rejects_unknown_variant():

@@ -964,6 +964,23 @@ def test_solve_system_folds_constant_fractional_powers():
         solve_script(script_from_transcript("[[var p]] [[p = 1000 / 1.05 ^ 0.08333]] [[answer = p]]"))
 
 
+@pytest.mark.parametrize(
+    "equation, expected",
+    [
+        ("y = 1 ^ 10001", 1),
+        ("y = (0 - 1) ^ 10001", -1),
+        ("y = (0 - 1) ^ 10002", 1),
+        ("y = 0 ^ 20000", 0),
+        ("y = 1 ^ 0.00005", 1),
+    ],
+)
+def test_solve_script_takes_powers_of_zero_one_and_minus_one_exactly(equation, expected):
+    """0 and 1 to any power and -1 to an integer power are exact, however
+    large the power or the root degree (0.00005 is 1/20000)."""
+    outcome = solve_script(script_from_transcript(f"[[var y]] [[{equation}]] [[answer = y]]"))
+    assert outcome.selected == F(expected) and isinstance(outcome.selected, F)
+
+
 def test_solve_system_quadratic_branching_through_linear():
     outcome = solve_script(
         script_from_transcript(
