@@ -38,6 +38,7 @@ from .parsing import (
     SolutionScript,
     VarDecl,
     bounded_numeral,
+    build_script,
     check_principles,
     extract_brackets,
     parse_declaration,
@@ -224,8 +225,9 @@ def _jsonl_records(path: str | Path, id_prefix: str) -> Iterator[tuple[str, dict
 
 @contextmanager
 def _open_text(path: str | Path, newline: str | None = None) -> Iterator[io.TextIOBase]:
-    """`path` opened as UTF-8 text, where a byte that does not decode is a DatasetError."""
-    with open(path, encoding="utf-8", newline=newline) as handle:
+    """`path` opened as UTF-8 text, less any leading byte-order mark, where a
+    byte that does not decode is a DatasetError."""
+    with open(path, encoding="utf-8-sig", newline=newline) as handle:
         try:
             yield handle
         except UnicodeDecodeError as err:
@@ -357,7 +359,10 @@ def _script(spec: PromptSpec, transcript: str, leaves: dict[str, Expr] | None) -
     equation = equations[0]
     goal = equation.lhs.name
     names = [goal] + sorted(set(equation.rhs_names) - {goal})
-    return SolutionScript((*map(VarDecl, names), equation, GoalDecl(goal)), goal)
+    try:  # the script declares every name, so only the goal keyword fails
+        return build_script([*map(VarDecl, names), equation, GoalDecl(goal)])
+    except ScriptError as err:
+        raise _Failure(SCRIPT_INVALID, str(err))
 
 
 def _answer(

@@ -52,9 +52,8 @@ class ParseError(Exception):
 
 
 class UnterminatedBracketError(ParseError):
-    def __init__(self, span: Span):
-        super().__init__(f"'[[' at offset {span[0]} has no closing ']]'")
-        self.span = span
+    def __init__(self, offset: int):
+        super().__init__(f"'[[' at offset {offset} has no closing ']]'")
 
 
 class NoDeclarationsError(ParseError):
@@ -75,10 +74,6 @@ class ExprSyntaxError(ParseError):
         self.expected = expected
         self.found = found
 
-    @property
-    def span(self) -> Span:
-        return (self.position, self.position + 1)
-
 
 class MultipleEqualsError(ParseError):
     def __init__(self, raw: str):
@@ -91,10 +86,6 @@ class ScriptError(Exception):
 
     principle: int = 1
 
-    def __init__(self, message: str, span: Span | None = None):
-        super().__init__(message)
-        self.span = span
-
 
 class NoGoalError(ScriptError):
     principle = 2
@@ -106,33 +97,31 @@ class NoGoalError(ScriptError):
 class GoalNotLastError(ScriptError):
     principle = 2
 
-    def __init__(self, span: Span | None = None):
-        super().__init__("the goal declaration must be the last statement", span)
+    def __init__(self):
+        super().__init__("the goal declaration must be the last statement")
 
 
 class UndeclaredVariableError(ScriptError):
     principle = 3
 
-    def __init__(self, name: str, span: Span | None = None):
-        super().__init__(f"variable '{name}' used before being introduced", span)
+    def __init__(self, name: str):
+        super().__init__(f"variable '{name}' used before being introduced")
         self.name = name
 
 
 class DuplicateDeclarationError(ScriptError):
     principle = 4
 
-    def __init__(self, name: str, span: Span | None = None):
-        super().__init__(f"variable '{name}' introduced more than once", span)
+    def __init__(self, name: str):
+        super().__init__(f"variable '{name}' introduced more than once")
         self.name = name
 
 
 class ReservedIdentifierError(ScriptError):
     principle = 2
 
-    def __init__(self, span: Span | None = None):
-        super().__init__(
-            f"'{RESERVED_GOAL_NAME}' is reserved for the goal declaration", span
-        )
+    def __init__(self):
+        super().__init__(f"'{RESERVED_GOAL_NAME}' is reserved for the goal declaration")
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +267,6 @@ def parse_expression(src: str, offset: int = 0) -> Expr:
 @dataclass(frozen=True, slots=True)
 class VarDecl:
     name: str
-    span: Span | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,7 +282,6 @@ class EqDecl:
 
     lhs: Expr
     rhs: Expr
-    span: Span | None = field(default=None, compare=False)
     lhs_names: tuple[str, ...] = field(default=None, compare=False, repr=False)
     rhs_names: tuple[str, ...] = field(default=None, compare=False, repr=False)
     numerals: tuple[Fraction, ...] = field(default=None, compare=False, repr=False)
@@ -311,7 +298,6 @@ class EqDecl:
 @dataclass(frozen=True, slots=True)
 class GoalDecl:
     name: str
-    span: Span | None = field(default=None, compare=False)
 
 
 Declaration = VarDecl | EqDecl | GoalDecl
@@ -328,7 +314,7 @@ def extract_brackets(text: str) -> list[tuple[str, Span]]:
     while (start := text.find("[[", cursor)) != -1:
         end = text.find("]]", start + 2)
         if end == -1:
-            raise UnterminatedBracketError((start, len(text)))
+            raise UnterminatedBracketError(start)
         found.append((text[start + 2 : end], (start, end + 2)))
         cursor = end + 2
     return found
@@ -363,12 +349,12 @@ def parse_declaration(
         if not equals:
             # Only remaining legal form: `var <ident>`.
             if len(texts) == 3 and texts[0] == "var" and texts[1][0] in _NAME_START:
-                return VarDecl(_name(texts[1], leaves), span)
+                return VarDecl(_name(texts[1], leaves))
             raise _Stop(0, {"'var <name>'", "'<expr> = <expr>'"})
         split = texts.index("=")
         if split == 1 and texts[0] == RESERVED_GOAL_NAME:
             if len(texts) == 4 and texts[2][0] in _NAME_START:
-                return GoalDecl(_name(texts[2], leaves), span)
+                return GoalDecl(_name(texts[2], leaves))
             raise _Stop(2, {"a variable name"})
         lhs_names, rhs_names, numerals = {}, {}, []
         lhs, i = _climb(texts, 0, 0, 0, leaves, lhs_names, numerals)
@@ -378,7 +364,7 @@ def parse_declaration(
             raise _Stop(i, {"end of expression"})
     except _Stop as stop:
         raise _located(raw, span[0] + 2 if span else 0, stop, True) from None
-    return EqDecl(lhs, rhs, span, tuple(lhs_names), tuple(rhs_names), tuple(numerals))
+    return EqDecl(lhs, rhs, tuple(lhs_names), tuple(rhs_names), tuple(numerals))
 
 
 # --------------------------------------------------------------------------
@@ -412,25 +398,25 @@ def build_script(decls: list[Declaration] | tuple[Declaration, ...]) -> Solution
         raise NoGoalError()
     first_index, first_goal = goals[0]
     if len(goals) > 1 or first_index != len(decls) - 1:
-        raise GoalNotLastError(first_goal.span)
+        raise GoalNotLastError()
     declared: set[str] = set()
     for decl in decls:
         if isinstance(decl, VarDecl):
             if decl.name == RESERVED_GOAL_NAME:
-                raise ReservedIdentifierError(decl.span)
+                raise ReservedIdentifierError()
             if decl.name in declared:
-                raise DuplicateDeclarationError(decl.name, decl.span)
+                raise DuplicateDeclarationError(decl.name)
             declared.add(decl.name)
         elif isinstance(decl, EqDecl):
             # The goal name is never declared, so it is undeclared when used.
             undeclared = {*decl.lhs_names, *decl.rhs_names} - declared
             if RESERVED_GOAL_NAME in undeclared:
-                raise ReservedIdentifierError(decl.span)
+                raise ReservedIdentifierError()
             if undeclared:
-                raise UndeclaredVariableError(min(undeclared), decl.span)
+                raise UndeclaredVariableError(min(undeclared))
         elif isinstance(decl, GoalDecl):
             if decl.name not in declared:
-                raise UndeclaredVariableError(decl.name, decl.span)
+                raise UndeclaredVariableError(decl.name)
     return SolutionScript(decls, first_goal.name)
 
 

@@ -12,6 +12,7 @@ never in code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -116,6 +117,9 @@ class DecodingParams:
             raise ValueError(
                 f"temperature must be a real number, not {type(self.temperature).__name__}"
             )
+        # json.load reads NaN and Infinity, which no request or record may hold.
+        if not -math.inf < self.temperature < math.inf:
+            raise ValueError("temperature must be finite")
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
         if self.n_samples != 1:

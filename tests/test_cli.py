@@ -249,6 +249,10 @@ def test_eval_reads_config_file(tmp_path, capsys):
         ({"endpoint": ""}, "config: endpoint must be a non-empty string"),
         ({"max_token": 600}, "config: unknown key 'max_token'"),
         ({"seed": 1, "Model": "m"}, "config: unknown key 'Model', 'seed'"),
+        # json.load reads the non-standard NaN, Infinity and -Infinity.
+        ({"temperature": float("nan")}, "config: temperature must be finite"),
+        ({"temperature": float("inf")}, "config: temperature must be finite"),
+        ({"temperature": float("-inf")}, "config: temperature must be finite"),
     ],
 )
 def test_eval_rejects_bad_config_value_in_one_line(tmp_path, bad, message):

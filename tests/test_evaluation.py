@@ -110,6 +110,17 @@ def test_load_algebra_jsonl(tmp_path):
     assert load_algebra(path)[0].gold_answer == F(8)
 
 
+@pytest.mark.parametrize("loader, name, text", [
+    (load_gsm8k, "data.jsonl", '{"question": "Q?", "answer": "#### 4", "id": "b1"}\n'),
+    (load_algebra, "data.jsonl", '{"question": "Q?", "answer": "4", "id": "b1"}\n'),
+    (load_algebra, "data.csv", "question,answer,id\nQ?,4,b1\n"),
+], ids=["gsm8k-jsonl", "algebra-jsonl", "algebra-csv"])
+def test_datasets_may_start_with_a_byte_order_mark(tmp_path, loader, name, text):
+    path = tmp_path / name
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert loader(path) == [Problem("b1", "Q?", F(4))]
+
+
 @pytest.mark.parametrize("loader, answer", [(load_gsm8k, "#### 4"), (load_algebra, "4")])
 @pytest.mark.parametrize("question", [5, "", None, ["Q?"]])
 def test_jsonl_records_need_a_non_empty_text_question(tmp_path, loader, answer, question):
@@ -494,6 +505,21 @@ def test_one_step_fallback_synthesizes_goal(tmp_path):
     record = run_problem(problem, spec, CONFIG, mode)
     assert record.verdict == CORRECT
     assert record.predicted == F(14)
+
+
+@pytest.mark.parametrize("completion", [
+    "So [[x = answer + 1]].",
+    "So [[x = 2 * answer]] and [[answer = x]].",
+])
+def test_one_step_fallback_keeps_the_goal_keyword_reserved(tmp_path, completion):
+    """The synthesized script passes the same rules as a declared one."""
+    single = (Exemplar("One plus one?", "Sum [[s = 1 + 1]]."),)
+    spec = PromptSpec(VARIANT_ONE_STEP, single)
+    problem = Problem("p1", "Q?", F(14))
+    mode = cassette_for(tmp_path, spec, [(problem.question, completion)])
+    record = run_problem(problem, spec, CONFIG, mode)
+    assert record.verdict == SCRIPT_INVALID
+    assert record.detail == "'answer' is reserved for the goal declaration"
 
 
 def test_one_step_multiple_equations_invalid(tmp_path):

@@ -71,7 +71,7 @@ def test_parser_records_each_sides_names_and_numerals(left, right):
     assert set(decl.rhs_names) == free_vars(decl.rhs)
     assert decl.numerals == (*_numerals(decl.lhs), *_numerals(decl.rhs))
 
-    by_hand = EqDecl(decl.lhs, decl.rhs, decl.span)
+    by_hand = EqDecl(decl.lhs, decl.rhs)
     assert by_hand == decl
     assert (by_hand.lhs_names, by_hand.rhs_names, by_hand.numerals) == (
         decl.lhs_names, decl.rhs_names, decl.numerals,
@@ -82,7 +82,7 @@ def test_records_do_not_take_part_in_equality_or_repr():
     decl = parse_declaration("x = 2 * y + 2", (0, 17))
     assert decl.numerals == (Fraction(2), Fraction(2))
     assert decl == EqDecl(Var("x"), Add(Mul(Num(2), Var("y")), Num(2)))
-    assert repr(decl) == f"EqDecl(lhs={decl.lhs!r}, rhs={decl.rhs!r}, span=(0, 17))"
+    assert repr(decl) == f"EqDecl(lhs={decl.lhs!r}, rhs={decl.rhs!r})"
 
 
 # --------------------------------------------------------------------------
@@ -297,6 +297,9 @@ def test_nodes_and_declarations_hold_no_instance_dict():
     others = [VarDecl("x"), EqDecl(x, Num(1)), GoalDecl("x"), script]
     for instance in nodes + others:
         assert not hasattr(instance, "__dict__"), type(instance).__name__
+    # A declaration holds only what later stages read of it.
+    assert VarDecl.__slots__ == GoalDecl.__slots__ == ("name",)
+    assert EqDecl.__slots__ == ("lhs", "rhs", "lhs_names", "rhs_names", "numerals")
     with pytest.raises(FrozenInstanceError):
         x.name = "y"
 

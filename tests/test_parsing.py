@@ -16,7 +16,9 @@ from declsolve.parsing import (
     MultipleEqualsError,
     NoDeclarationsError,
     NoGoalError,
+    ParseError,
     ReservedIdentifierError,
+    ScriptError,
     SolutionScript,
     UndeclaredVariableError,
     UnterminatedBracketError,
@@ -197,6 +199,27 @@ def test_script_structure_errors_carry_principles():
     # reserved name
     with pytest.raises(ReservedIdentifierError):
         build_script([VarDecl("answer"), GoalDecl("answer")])
+
+
+@pytest.mark.parametrize("transcript", [
+    "[[var x]] [[x = 1]] [[answer = x]]",
+    "[[var x]] [[x = 1 +]] [[answer = x]]",
+    "[[var x]] [[x = 1]] [[answer = x",
+    "[[var x]] [[x = 1]]",
+    "[[var x]] [[answer = x]] [[x = 1]]",
+    "[[var x]] [[x = y]] [[answer = x]]",
+    "[[var x]] [[var x]] [[answer = x]]",
+    "[[var answer]] [[answer = answer]]",
+])
+def test_declarations_and_errors_carry_no_span(transcript):
+    """Rule messages name no place, and a syntax error's offset is in its
+    message and `position`: nothing holds a bracket's span."""
+    try:
+        items = script_from_transcript(transcript).declarations
+    except (ParseError, ScriptError) as err:
+        items = [err]
+    for item in items:
+        assert not hasattr(item, "span"), item
 
 
 def test_var_is_an_ordinary_name_and_only_answer_is_reserved():

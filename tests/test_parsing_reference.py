@@ -149,7 +149,7 @@ def reference_parse_declaration(raw, span=None):
             and tokens[0].text == "var"
             and tokens[1].kind == "ident"
         ):
-            return VarDecl(tokens[1].text, span)
+            return VarDecl(tokens[1].text)
         bad = next((t for t in tokens if t.kind != "end"), tokens[-1])
         raise ExprSyntaxError(
             bad.pos, {"'var <name>'", "'<expr> = <expr>'"}, bad.text or "end of input"
@@ -160,13 +160,13 @@ def reference_parse_declaration(raw, span=None):
     rhs_tokens = tokens[split + 1 :]
     if len(lhs_tokens) == 1 and lhs_tokens[0].kind == "ident" and lhs_tokens[0].text == RESERVED_GOAL_NAME:
         if len(rhs_tokens) == 2 and rhs_tokens[0].kind == "ident":
-            return GoalDecl(rhs_tokens[0].text, span)
+            return GoalDecl(rhs_tokens[0].text)
         bad = rhs_tokens[0] if rhs_tokens else tokens[-1]
         raise ExprSyntaxError(bad.pos, {"a variable name"}, bad.text or "end of input")
 
     lhs = _parse_token_run(lhs_tokens, span)
     rhs = _parse_token_run(rhs_tokens, span)
-    return EqDecl(lhs, rhs, span)
+    return EqDecl(lhs, rhs)
 
 
 def _parse_token_run(tokens, span):
@@ -288,18 +288,18 @@ def script_outcome(function, text):
     try:
         script = function(text)
     except (ParseError, ScriptError) as err:
-        return ("error", type(err), str(err), getattr(err, "position", getattr(err, "span", None)))
+        return ("error", type(err), str(err), getattr(err, "position", None))
     records = [(d.lhs_names, d.rhs_names, d.numerals) for d in script.equations]
-    return ("value", script, [d.span for d in script.declarations], records)
+    return ("value", script, records)
 
 
 def outcome(function, *args):
-    """A comparable result: the value (and its span), or the error."""
+    """A comparable result: the value, or the error."""
     try:
         result = function(*args)
     except ParseError as err:
         return ("error", type(err), str(err), getattr(err, "position", None))
-    return ("value", result, getattr(result, "span", None))
+    return ("value", result)
 
 
 # --------------------------------------------------------------------------
