@@ -22,7 +22,7 @@ from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
-from .client import DEFAULT_CREDENTIAL_ENV, DEFAULT_TIMEOUT, ClientError, Live, Replay
+from .client import DEFAULT_CREDENTIAL_ENV, DEFAULT_TIMEOUT, ClientError, Live, Replay, is_utf8_text
 from .evaluation import (
     DatasetError,
     Problem,
@@ -50,7 +50,7 @@ DEFAULT_MODEL = "gpt-3.5-turbo-instruct"
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             config = json.load(handle)
         except json.JSONDecodeError as err:
@@ -65,7 +65,7 @@ def _load_config(path: str | None) -> dict:
     if unknown:
         raise SystemExit(f"config: unknown key {', '.join(map(repr, unknown))}")
     for key in text_keys:
-        if key in config and not (isinstance(config[key], str) and config[key]):
+        if key in config and not (is_utf8_text(config[key]) and config[key]):
             raise SystemExit(f"config: {key} must be a non-empty string")
     return config
 
@@ -77,7 +77,7 @@ def _run_config(args: argparse.Namespace, config: dict) -> RunConfig:
         raise SystemExit(f"config: {err}")
     model = args.model or config.get("model", DEFAULT_MODEL)
     stop = config.get("stop_sequences", DEFAULT_STOP_SEQUENCES)
-    if not isinstance(stop, (list, tuple)) or not all(isinstance(s, str) for s in stop):
+    if not isinstance(stop, (list, tuple)) or not all(map(is_utf8_text, stop)):
         raise SystemExit("config: stop_sequences must be a list of strings")
     return RunConfig(model=model, params=params, stop_sequences=tuple(stop))
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -40,6 +41,12 @@ DEFAULT_TIMEOUT = 120.0
 DEFAULT_CREDENTIAL_ENV = "OPENAI_API_KEY"
 
 _RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+
+
+def is_utf8_text(value: object) -> bool:
+    """Whether `value` is a str that UTF-8 can encode: one with no lone
+    surrogate, which `json.loads` reads from an escape like ``"\\ud83d"``."""
+    return isinstance(value, str) and not re.search("[\ud800-\udfff]", value)
 
 
 class ClientError(Exception):
@@ -114,7 +121,7 @@ class Cassette:
     def load(cls, path: str | Path) -> "Cassette":
         entries: dict[str, str] = {}
         metadata: dict[str, Any] = {}
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
@@ -123,8 +130,8 @@ class Cassette:
                     record = json.loads(line)
                     if "fingerprint" in record:
                         completion = record["completion"]
-                        if not isinstance(completion, str):
-                            raise ValueError("a completion must be text")
+                        if not is_utf8_text(completion):
+                            raise ValueError("a completion must be UTF-8 text")
                         # First write wins: entries are immutable once recorded.
                         entries.setdefault(record["fingerprint"], completion)
                     elif "metadata" in record and lineno == 1:
@@ -271,7 +278,7 @@ def _live_call(
                 text = json.loads(body)["choices"][0]["text"]
             except (json.JSONDecodeError, KeyError, IndexError, TypeError):
                 text = None
-            if not isinstance(text, str):
+            if not is_utf8_text(text):
                 raise EndpointError(status, f"malformed completion body: {body[:120]}")
             return text
         error = EndpointError(status, body)

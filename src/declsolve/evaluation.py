@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from .client import ClientError, ClientMode, CompletionRequest, Transport, complete
+from .client import ClientError, ClientMode, CompletionRequest, Transport, complete, is_utf8_text
 from .exprs import MAX_POWER_BITS, Expr, Var, format_rational
 from .parsing import (
     EqDecl,
@@ -171,8 +171,7 @@ def load_gsm8k(path: str | Path) -> list[Problem]:
             raise MissingMarkerError(problem_id)
         gold = _parse_gold(answer_text[marker + 4 :], problem_id)
         problems.append(Problem(problem_id, record["question"], gold))
-    _require_unique_ids(problems, path)
-    return problems
+    return _checked(problems, path)
 
 
 def load_algebra(path: str | Path) -> list[Problem]:
@@ -199,15 +198,15 @@ def load_algebra(path: str | Path) -> list[Problem]:
         for problem_id, record in _jsonl_records(path, "algebra"):
             gold = _parse_gold(str(record["answer"]), problem_id)
             problems.append(Problem(problem_id, record["question"], gold))
-    _require_unique_ids(problems, path)
-    return problems
+    return _checked(problems, path)
 
 
 def _jsonl_records(path: str | Path, id_prefix: str) -> Iterator[tuple[str, dict]]:
     """Each record of a JSONL file with its id: its own `id` field, else
     `<id_prefix>-NNNN` for its line index, blank lines counted.  A line that
-    is not a JSON object with `question` and `answer`, or whose `question`
-    is not non-empty text, is a DatasetError."""
+    is not a JSON object with `question` and `answer`, whose `question` is
+    not non-empty text UTF-8 can encode, or whose id UTF-8 cannot encode, is
+    a DatasetError."""
     with _open_text(path) as handle:
         for index, line in enumerate(handle):
             line = line.strip()
@@ -218,9 +217,12 @@ def _jsonl_records(path: str | Path, id_prefix: str) -> Iterator[tuple[str, dict
                     raise DatasetError(f"{path}:{index + 1}: not JSON ({err})") from None
                 if not isinstance(record, dict) or not {"question", "answer"} <= record.keys():
                     raise DatasetError(f"{path}:{index + 1}: a record needs 'question' and 'answer'")
-                if not isinstance(record["question"], str) or not record["question"]:
+                if not is_utf8_text(record["question"]) or not record["question"]:
                     raise DatasetError(f"{path}:{index + 1}: 'question' must be non-empty text")
-                yield str(record.get("id", f"{id_prefix}-{index:04d}")), record
+                problem_id = str(record.get("id", f"{id_prefix}-{index:04d}"))
+                if not is_utf8_text(problem_id):
+                    raise DatasetError(f"{path}:{index + 1}: 'id' must be UTF-8 text")
+                yield problem_id, record
 
 
 @contextmanager
@@ -234,12 +236,16 @@ def _open_text(path: str | Path, newline: str | None = None) -> Iterator[io.Text
             raise DatasetError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
-def _require_unique_ids(problems: list[Problem], path: str | Path) -> None:
+def _checked(problems: list[Problem], path: str | Path) -> list[Problem]:
+    """`problems`, which must be at least one, each with its own id."""
+    if not problems:
+        raise DatasetError(f"{path}: no problems")
     seen: set[str] = set()
     for problem in problems:
         if problem.id in seen:
             raise DatasetError(f"{path}: duplicate problem id {problem.id!r}")
         seen.add(problem.id)
+    return problems
 
 
 # --------------------------------------------------------------------------

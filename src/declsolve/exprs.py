@@ -26,13 +26,14 @@ from typing import Any, Callable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
-# Bounds on every exact power, product and quotient.  Word-problem equations
-# use tiny values; anything near these limits is an adversarial transcript.
-# The size cap, in bits, stays below CPython's default 4,300-digit limit on
-# int-to-str conversion (about 14,284 bits), so any such value can still be
-# printed.
+# Bounds on every exact power, product and quotient, and on the total degree
+# `rational` expands to.  Word-problem equations use tiny values; anything
+# near these limits is an adversarial transcript.  The size cap, in bits,
+# stays below CPython's default 4,300-digit limit on int-to-str conversion
+# (about 14,284 bits), so any such value can still be printed.
 MAX_EXPONENT = 10_000
 MAX_POWER_BITS = 14_000
+MAX_POLY_DEGREE = 32
 
 
 class ExprError(Exception):
@@ -409,36 +410,17 @@ Monomial = tuple[tuple[str, int], ...]
 Terms = dict[Monomial, Fraction]
 
 
-def polynomial(expr: Expr, max_degree: int) -> Terms:
-    """Expand `expr` into {monomial: coefficient}, with no zero coefficients.
-
-    Raises NonLinearError when `expr` is not a polynomial (division by, or
-    an exponent that is, anything but a constant; a non-integer exponent on
-    a variable-bearing base, or one `exact_power` refuses on a constant; a
-    negative power of a variable-bearing base) or when a product at any
-    step would exceed total degree `max_degree`.  Raises DivisionByZeroError
-    for a zero constant divisor, and ExponentTooLargeError for a product or
-    quotient coefficient over MAX_POWER_BITS.  Constant powers fold by
-    `exact_power`, as in `eval_exact`.
-    """
-    operations = _TERM_OPERATIONS | {
-        Mul: partial(_multiply, max_degree=max_degree),
-        Pow: partial(_power, max_degree=max_degree),
-    }
-    return fold(postorder(expr), _leaf_terms, operations)
-
-
-def rational(expr: Expr, max_degree: int) -> tuple[Terms, Terms, Terms]:
+def rational(expr: Expr) -> tuple[Terms, Terms, Terms]:
     """Expand `expr` into polynomials (numerator, denominator, poles): the
     quotient equals `expr` wherever `poles`, the denominator times each
     denominator an inversion or a zero power took away (`1 / (1 / x)` is
     x / 1 with the pole x), is not zero.
 
     Division by, and integer powers of, a variable-bearing expression are
-    rational; otherwise `polynomial`'s errors hold, with `max_degree` on
-    each part.  A divisor that expands to zero raises DivisionByZeroError.
+    rational; otherwise `linear_form`'s errors hold, to degree MAX_POLY_DEGREE
+    on each part.  A divisor that expands to zero raises DivisionByZeroError.
     """
-    multiply = partial(_multiply, max_degree=max_degree)
+    multiply = partial(_multiply, max_degree=MAX_POLY_DEGREE)
     inverted: list[Terms] = []  # denominators moved up or dropped
 
     def add(left, right, sign=1):
@@ -455,10 +437,10 @@ def rational(expr: Expr, max_degree: int) -> tuple[Terms, Terms, Terms]:
     def power(base, exponent):
         (num, den), exponent_terms = base, _divide(*exponent)
         value = _constant(exponent_terms)
-        # `polynomial`'s rules, unless the base has a variable denominator or
+        # `linear_form`'s rules, unless the base has a variable denominator or
         # a variable-bearing base has a negative power.
         if _constant(den) is not None and (value is None or value >= 0 or _constant(num) is not None):
-            return _power(_divide(num, den), exponent_terms, max_degree), {(): Fraction(1)}
+            return _power(_divide(num, den), exponent_terms, MAX_POLY_DEGREE), {(): Fraction(1)}
         if value is None or value.denominator != 1:
             raise NonLinearError("unsupported exponent")
         if value <= 0:  # a negative power moves the denominator up, a zero one drops it
@@ -467,7 +449,7 @@ def rational(expr: Expr, max_degree: int) -> tuple[Terms, Terms, Terms]:
             if not num:
                 raise DivisionByZeroError("zero raised to a negative power")
             num, den, value = den, num, -value
-        return _power(num, {(): value}, max_degree), _power(den, {(): value}, max_degree)
+        return _power(num, {(): value}, MAX_POLY_DEGREE), _power(den, {(): value}, MAX_POLY_DEGREE)
 
     operations = {
         Neg: lambda operand: (_scale(operand[0], Fraction(-1)), operand[1]),
@@ -559,14 +541,18 @@ def _multiply(left: Terms, right: Terms, max_degree: int) -> Terms:
 
 
 def linear_form(expr: Expr) -> Terms:
-    """`polynomial(expr, 1)`: the terms of a linear `expr`, each monomial a
-    single `((name, 1),)` or the constant `()`, or NonLinearError.
+    """Expand a linear `expr` into {monomial: coefficient} with no zero
+    coefficients, each monomial a single `((name, 1),)` or the constant `()`.
 
-    Division by a constant is linear; division by anything variable-bearing
-    is not.  Pow is linear only with a constant integer exponent of 0 or 1
-    over a variable-bearing base (constant bases fold to a constant).
+    Raises NonLinearError for division by, or an exponent that is, anything
+    but a constant; a non-integer exponent on a variable-bearing base, or one
+    `exact_power` refuses on a constant; a negative power of a variable-bearing
+    base; and a product past total degree 1.  Raises DivisionByZeroError for a
+    zero constant divisor, and ExponentTooLargeError for a product or quotient
+    coefficient over MAX_POWER_BITS.  Constant powers fold by `exact_power`,
+    as in `eval_exact`.
     """
-    return polynomial(expr, 1)
+    return fold(postorder(expr), _leaf_terms, _LINEAR_OPERATIONS)
 
 
 def format_rational(value: Fraction) -> str:
@@ -644,9 +630,10 @@ _ROUNDED_OPERATIONS = _EXACT_OPERATIONS | {Pow: lambda base, power: Fraction(rou
 
 _REBUILD = {kind: kind for kind in _EXACT_OPERATIONS}
 
-# The rest of `polynomial`'s operations depend on its degree bound.
-_TERM_OPERATIONS = {
+# `linear_form`'s expansion: products and powers to total degree 1.
+_LINEAR_OPERATIONS = {
     Neg: partial(_scale, factor=Fraction(-1)), Add: _add, Sub: partial(_add, sign=-1), Div: _divide,
+    Mul: partial(_multiply, max_degree=1), Pow: partial(_power, max_degree=1),
 }
 
 _RENDER = {Neg: "(-{})".format} | {

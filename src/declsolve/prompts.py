@@ -241,7 +241,7 @@ def parse_exemplars(text: str) -> list[Exemplar]:
 def load_exemplars(path: str | Path) -> list[Exemplar]:
     """Load exemplars from a sentinel-delimited file.  A PromptSpec checks
     their solutions against its variant."""
-    return parse_exemplars(Path(path).read_text(encoding="utf-8"))
+    return parse_exemplars(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def default_exemplar_path(variant: str) -> Path:

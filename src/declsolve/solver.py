@@ -65,9 +65,6 @@ Value = Fraction | float
 ROOT_DEDUPE_TOLERANCE = 1e-7
 MAX_BRANCHES = 16
 
-# Degree bound when expanding a univariate equation; one past it is isolated.
-_MAX_POLY_DEGREE = 32
-
 
 class SolverError(Exception):
     """Base class for solver failures."""
@@ -323,16 +320,16 @@ def _coefficients(terms: Terms, var: str) -> list[int]:
 
 def _solve_univariate(equation: Equation, var: str, approx: bool = False) -> tuple[list[Value], str]:
     """Real roots of a single-unknown equation plus the method label used:
-    every real root but the poles of a rational equation of degree 1 to 32,
-    cleared of denominators, exact (Fraction) where rational and not
-    `approx` (the equation holds rounded values), else correctly rounded
-    (float).  A residual that is not rational is first peeled by `_isolate`."""
+    every real root but the poles of a rational equation of degree 1 to
+    MAX_POLY_DEGREE, cleared of denominators, exact (Fraction) where rational
+    and not `approx` (the equation holds rounded values), else correctly
+    rounded (float).  A residual that is not rational is first peeled by `_isolate`."""
     part, values, inverted = equation[0] - equation[1], [(Fraction(0), approx)], False
     roots: list[Value] = []
     try:
         while True:
             try:
-                expansions = [(rational(part - v if v else part, _MAX_POLY_DEGREE), approx) for v, approx in values]
+                expansions = [(rational(part - v if v else part), approx) for v, approx in values]
                 break
             except NonLinearError:
                 part, values, inverted = *_isolate(part, values), True

@@ -233,6 +233,14 @@ def test_eval_reads_config_file(tmp_path, capsys):
     assert "solve rate 72.0%" in capsys.readouterr().out
 
 
+def test_eval_reads_a_config_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("\ufeff" + json.dumps({"model": "fixture-completions-v1"}), encoding="utf-8")
+    args = _eval_args(tmp_path / "out", ["--config", str(config)])
+    assert main(args) == 0
+    assert "solve rate 72.0%" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -253,6 +261,9 @@ def test_eval_reads_config_file(tmp_path, capsys):
         ({"temperature": float("nan")}, "config: temperature must be finite"),
         ({"temperature": float("inf")}, "config: temperature must be finite"),
         ({"temperature": float("-inf")}, "config: temperature must be finite"),
+        # A lone surrogate, which json.load reads but UTF-8 cannot encode.
+        ({"model": "m\ud83d"}, "config: model must be a non-empty string"),
+        ({"stop_sequences": ["Q\ud83d"]}, "config: stop_sequences must be a list of strings"),
     ],
 )
 def test_eval_rejects_bad_config_value_in_one_line(tmp_path, bad, message):
@@ -326,6 +337,11 @@ BAD_INPUTS = {
     "cassette-not-utf8": (
         {"problems.jsonl": GOOD_LINE + "\n", "c.jsonl": b"\xff\n"}, [],
         "cassette: c.jsonl: not UTF-8 text (invalid start byte)",
+    ),
+    "empty-dataset": ({"problems.jsonl": "\n"}, [], "problems.jsonl: no problems"),
+    "csv-with-only-a-header": (
+        {"problems.csv": "question,answer\n"}, ["--format", "algebra", "--dataset", "problems.csv"],
+        "problems.csv: no problems",
     ),
 }
 

@@ -129,12 +129,21 @@ def test_cassette_rejects_garbage_lines(tmp_path):
 @pytest.mark.parametrize("line", [
     "not json", '"fingerprint"', '{"fingerprint": "x"}', "[1]",
     '{"fingerprint": "x", "completion": 5}', '{"fingerprint": "x", "completion": null}',
+    # A lone surrogate, which json.loads reads but UTF-8 cannot encode.
+    '{"fingerprint": "x", "completion": "ok \\ud83d"}',
 ])
 def test_cassette_names_the_line_of_any_malformed_shape(tmp_path, line):
     path = tmp_path / "c.jsonl"
     path.write_text(f'{{"metadata": {{}}}}\n{line}\n', encoding="utf-8")
     with pytest.raises(ValueError, match=r"c\.jsonl:2: unrecognized cassette line"):
         Cassette.load(path)
+
+
+def test_cassette_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "c.jsonl"
+    append_record(path, req(), "recorded text")
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert Cassette.load(path).entries == {fingerprint(req()): "recorded text"}
 
 
 # --- replay ---------------------------------------------------------------------
@@ -345,6 +354,7 @@ def test_live_malformed_body_is_an_endpoint_error():
 
 @pytest.mark.parametrize("body", [
     {"choices": [{"text": None}]}, {"choices": [{"text": 5}]}, {"choices": [{"text": ["a"]}]},
+    {"choices": [{"text": "ok \ud83d"}]},  # a lone surrogate, which UTF-8 cannot encode
 ])
 def test_live_completion_that_is_not_text_is_an_endpoint_error(tmp_path, body):
     path = tmp_path / "c.jsonl"

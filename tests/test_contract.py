@@ -5,20 +5,24 @@ generated transcripts through it, as a live completion, under every prompt
 variant, and require an `EvalRecord` within 1 s for each, with no exception
 escaping and a typed verdict: none that the last-resort handler made from an
 unexpected error.  Beneath them, the solver fails only as a `SolverError`.
+Above them, `run_eval` writes one record line per problem for any
+completion text.
 """
 
 import json
 import re
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from declsolve.client import Live
-from declsolve.evaluation import VERDICTS, EvalRecord, Problem, RunConfig, run_problem
+from declsolve.client import CompletionRequest, Live, Replay, fingerprint, is_utf8_text
+from declsolve.evaluation import CLIENT_FAILURE, VERDICTS, EvalRecord, Problem, RunConfig, run_eval, run_problem
 from declsolve.parsing import MAX_NESTING, ParseError, ScriptError, script_from_transcript
-from declsolve.prompts import VARIANTS, spec_for_variant
+from declsolve.prompts import VARIANTS, assemble_prompt, spec_for_variant
 from declsolve.solver import SolverError, solve_script
 
 SPECS = {variant: spec_for_variant(variant) for variant in VARIANTS}
@@ -180,3 +184,60 @@ SOUND = "[[var x]] [[x = 3]] [[answer = x]]"
 )
 def test_huge_numerals_become_records(variant, question, transcript):
     record_of(transcript, variant, question)
+
+
+# --- the records file ---------------------------------------------------------------
+
+# Any code point, lone surrogates too: Hypothesis leaves them out unless
+# asked, and json.loads reads one from an escape like "\\ud83d".
+any_character = st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr))
+completion_texts = st.one_of(
+    st.text(any_character, max_size=60),
+    st.builds(
+        lambda text, junk, at: text[:at] + junk + text[at:],
+        grammar_transcripts(), st.text(any_character, min_size=1, max_size=3), st.integers(0, 200),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(completion_texts, min_size=1, max_size=3))
+def test_any_completion_text_leaves_one_record_line_per_problem(completions):
+    """Through `run_eval` with an out_dir, recording live completions, and
+    replaying a cassette written with ensure_ascii=True: no exception
+    escapes, and records.jsonl is UTF-8 text with one JSON line per problem
+    after the meta line.  Text UTF-8 cannot encode is refused where it
+    enters: a live one is a ClientFailure, and Replay will not load the
+    cassette.  A JSON escape pair such as "\\ud800\\udc00" reads back as one
+    code point, so what arrives is each text's JSON round trip."""
+    arrived = [json.loads(json.dumps(text)) for text in completions]
+    spec = SPECS[VARIANTS[0]]
+    problems = [Problem(f"p{i}", f"{QUESTION} ({i})", Fraction(15)) for i in range(len(completions))]
+    by_prompt = {assemble_prompt(spec, problem.question): text for problem, text in zip(problems, completions)}
+
+    def transport(url, payload, headers, timeout):
+        return 200, json.dumps({"choices": [{"text": by_prompt[payload["prompt"]]}]})
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cassette = tmp / "replay.jsonl"
+        cassette.write_text("".join(
+            json.dumps({
+                "fingerprint": fingerprint(CompletionRequest(CONFIG.model, prompt, CONFIG.params, CONFIG.stop_sequences)),
+                "completion": text,
+            }, ensure_ascii=True) + "\n"
+            for prompt, text in by_prompt.items()
+        ), encoding="utf-8")
+        runs = [("live", Live("https://example.invalid", str(tmp / "recorded.jsonl")))]
+        try:
+            runs.append(("replay", Replay(str(cassette))))
+        except ValueError:
+            assert not all(map(is_utf8_text, arrived))
+        for name, mode in runs:
+            run_eval(problems, spec, mode, CONFIG, out_dir=tmp / name, transport=transport)
+            lines = (tmp / name / "records.jsonl").read_bytes().decode("utf-8").split("\n")
+            assert lines[-1] == "" and len(lines) == len(problems) + 2
+            records = [json.loads(line) for line in lines[1:-1]]
+            assert [record["id"] for record in records] == [problem.id for problem in problems]
+            for record, text in zip(records, arrived):
+                assert (record["verdict"] == CLIENT_FAILURE) == (not is_utf8_text(text))

@@ -131,6 +131,18 @@ def test_jsonl_records_need_a_non_empty_text_question(tmp_path, loader, answer, 
         loader(path)
 
 
+@pytest.mark.parametrize("loader, answer", [(load_gsm8k, "#### 4"), (load_algebra, "4")])
+@pytest.mark.parametrize("key", ["question", "id"])
+def test_jsonl_records_refuse_a_lone_surrogate(tmp_path, loader, answer, key):
+    """json.loads reads the escape \\ud83d as a lone surrogate, which UTF-8
+    cannot encode: the prompt's fingerprint or the records file would fail."""
+    path = tmp_path / "data.jsonl"
+    rows = [{"question": "Q?", "answer": answer}, {"question": "Q?", "answer": answer, key: "Q \ud83d"}]
+    path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+    with pytest.raises(ev.DatasetError, match=rf"data\.jsonl:2: '{key}' must be"):
+        loader(path)
+
+
 def test_load_algebra_rejects_non_numeric_answers(tmp_path):
     path = tmp_path / "algebra.csv"
     path.write_text('question,answer\n"Q","x=8 or 4"\n', encoding="utf-8")

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from declsolve.exprs import (
     MAX_EXPONENT,
+    MAX_POLY_DEGREE,
     MAX_POWER_BITS,
     Add,
     Div,
@@ -30,7 +31,6 @@ from declsolve.exprs import (
     free_vars,
     leaves,
     linear_form,
-    polynomial,
     rational,
     render,
     rounded_power,
@@ -261,58 +261,62 @@ def test_linear_form_rejects_products_of_variables():
 
 def test_polynomial_expands_to_sparse_monomials():
     x, y = Var("x"), Var("y")
-    assert polynomial((x + y) ** 2 - y * y, 2) == {
-        (("x", 2),): Fraction(1),
-        (("x", 1), ("y", 1)): Fraction(2),
-    }
-    assert polynomial(x - x, 1) == {}
-    assert polynomial(Num(2) ** 200 / 4, 0) == {(): Fraction(2**198)}
+    one = {(): Fraction(1)}
+    assert rational((x + y) ** 2 - y * y) == (
+        {(("x", 2),): Fraction(1), (("x", 1), ("y", 1)): Fraction(2)}, one, one
+    )
+    assert linear_form(x - x) == {}
+    assert linear_form(Num(2) ** 200 / 4) == {(): Fraction(2**198)}
     with pytest.raises(NonLinearError):
-        polynomial(x * x * x, 2)
+        linear_form(x * x * x)
     with pytest.raises(NonLinearError):
-        polynomial(Pow(x, Num(-1)), 2)
+        linear_form(Pow(x, Num(-1)))
     with pytest.raises(NonLinearError):
-        polynomial(Pow(Num(2), x), 2)
+        linear_form(Pow(Num(2), x))
     with pytest.raises(DivisionByZeroError):
-        polynomial(Div(x, x - x), 1)
+        linear_form(Div(x, x - x))
     big = Num(Fraction(2**8000, 3))
     with pytest.raises(ExponentTooLargeError):
-        polynomial(big * x * big, 1)
+        linear_form(big * x * big)
     with pytest.raises(ExponentTooLargeError):
-        polynomial((x + big) * (x + big), 2)
+        rational((x + big) * (x + big))
 
 
 def test_rational_clears_variable_denominators():
     x = Var("x")
     one = {(): Fraction(1)}
-    assert rational(6 / x, 1) == ({(): Fraction(6)}, {(("x", 1),): Fraction(1)}, {(("x", 1),): Fraction(1)})
-    assert rational(1 / x + 1 / (x + 2), 2) == (
+    assert rational(6 / x) == ({(): Fraction(6)}, {(("x", 1),): Fraction(1)}, {(("x", 1),): Fraction(1)})
+    assert rational(1 / x + 1 / (x + 2)) == (
         {(("x", 1),): Fraction(2), (): Fraction(2)},
         {(("x", 2),): Fraction(1), (("x", 1),): Fraction(2)},
         {(("x", 2),): Fraction(1), (("x", 1),): Fraction(2)},
     )
-    assert rational(Pow(x, Num(-2)), 2) == (one, {(("x", 2),): Fraction(1)}, {(("x", 2),): Fraction(1)})
+    assert rational(Pow(x, Num(-2))) == (one, {(("x", 2),): Fraction(1)}, {(("x", 2),): Fraction(1)})
     # A denominator an inversion or a zero power takes away stays a pole.
-    assert rational(Pow(1 / x, Num(-1)), 1) == ({(("x", 1),): Fraction(1)}, one, {(("x", 1),): Fraction(1)})
-    assert rational(3 / (1 / (x + 1)), 1) == (
+    assert rational(Pow(1 / x, Num(-1))) == ({(("x", 1),): Fraction(1)}, one, {(("x", 1),): Fraction(1)})
+    assert rational(3 / (1 / (x + 1))) == (
         {(("x", 1),): Fraction(3), (): Fraction(3)}, one, {(("x", 1),): Fraction(1), (): Fraction(1)}
     )
-    assert rational(Pow(1 / x, Num(0)), 1) == (one, one, {(("x", 1),): Fraction(1)})
-    assert rational(x / x - 1, 1) == ({}, {(("x", 1),): Fraction(1)}, {(("x", 1),): Fraction(1)})
-    # A constant power folds as in `polynomial`; a constant divisor stays below.
-    assert rational(Pow(Num(4), Num(Fraction(1, 2))) / 8 * x, 1) == (
+    assert rational(Pow(1 / x, Num(0))) == (one, one, {(("x", 1),): Fraction(1)})
+    assert rational(x / x - 1) == ({}, {(("x", 1),): Fraction(1)}, {(("x", 1),): Fraction(1)})
+    # A constant power folds as in `linear_form`; a constant divisor stays below.
+    assert rational(Pow(Num(4), Num(Fraction(1, 2))) / 8 * x) == (
         {(("x", 1),): Fraction(2)}, {(): Fraction(8)}, {(): Fraction(8)}
     )
     with pytest.raises(DivisionByZeroError):
-        rational(1 / (x - x), 1)
+        rational(1 / (x - x))
     with pytest.raises(DivisionByZeroError):
-        rational(Pow(0 / x, Num(-1)), 1)
+        rational(Pow(0 / x, Num(-1)))
     with pytest.raises(NonLinearError):
-        rational(Pow(Num(2), x), 2)
+        rational(Pow(Num(2), x))
     with pytest.raises(NonLinearError):
-        rational(Pow(1 / x, Num(Fraction(1, 2))), 2)
+        rational(Pow(1 / x, Num(Fraction(1, 2))))
+    # Each part expands to total degree MAX_POLY_DEGREE, and no further.
+    assert rational(1 / Pow(x, Num(MAX_POLY_DEGREE)))[1] == {(("x", MAX_POLY_DEGREE),): Fraction(1)}
     with pytest.raises(NonLinearError):
-        rational(1 / (x * x * x), 2)
+        rational(1 / Pow(x, Num(MAX_POLY_DEGREE + 1)))
+    with pytest.raises(NonLinearError):
+        rational(Pow(x, Num(MAX_POLY_DEGREE)) * x)
 
 
 def test_format_rational():
@@ -400,7 +404,7 @@ def test_free_vars_matches_unbound_failures(e):
             pytest.fail("expected UnboundVariableError")
 
 
-# --- differential test against the expansions polynomial() replaced ------------
+# --- differential tests against the old expansions ---------------------------
 #
 # Test-only copies of the old `linear_form` (with `_lf`, `_lf_combine` and
 # `_lf_scale`) and of the old `solver._poly_coefficients` (with `_poly_mul`
@@ -645,9 +649,20 @@ def _first_failure(outcome, expr, failed=lambda result: isinstance(result, type)
     return result
 
 
+def _over_constant(expr):
+    """`rational(expr)`'s numerator over its denominator where that is a
+    constant, else None."""
+    numerator, denominator, _ = rational(expr)
+    if set(denominator) != {()}:
+        return None
+    return {monomial: coeff / denominator[()] for monomial, coeff in numerator.items()}
+
+
 def _dense(expr, var):
-    """What the univariate solver reads: None for a non-polynomial."""
-    terms = polynomial(expr, _OLD_MAX_POLY_DEGREE)
+    """What the univariate solver reads: None for a variable denominator."""
+    terms = _over_constant(expr)
+    if terms is None:
+        return None
     degree = max((monomial[0][1] if monomial else 0 for monomial in terms), default=-1)
     return [terms.get(((var, k),) if k else (), Fraction(0)) for k in range(degree + 1)]
 
@@ -714,9 +729,12 @@ def test_linear_form_matches_old_linear_form(expr):
 @settings(max_examples=400, deadline=None)
 @given(_diff_expressions(["x"]), _diff_expressions(["x"]))
 def test_polynomial_matches_old_poly_coefficients(lhs, rhs):
-    """The same dense coefficients of `lhs - rhs` (as the univariate solver
-    expands it), NonLinearError where the old expansion returned None, or
-    the same error type, at the first subtree in post-order that fails."""
+    """Where the old expansion expands `lhs - rhs` (as the univariate solver
+    reads it), `rational` gives the same dense coefficients over a constant
+    denominator; where the old one fails first, at the first subtree in
+    post-order that fails, `rational` raises the same error type.  Where the
+    old one gave up on a subtree (None) before, `rational` may go on, since
+    it also takes division by, and negative powers of, the unknown."""
     residual = Sub(lhs, rhs)
     got = _outcome(_dense, residual, "x")
     try:
@@ -727,9 +745,10 @@ def test_polynomial_matches_old_poly_coefficients(lhs, rhs):
         )
     except _Deviation:
         if isinstance(got, list):
-            _agrees_with_eval(residual, polynomial(residual, _OLD_MAX_POLY_DEGREE))
+            _agrees_with_eval(residual, _over_constant(residual))
         return
-    assert got == (NonLinearError if expected is None else expected)
+    if expected is not None:
+        assert got == expected
 
 
 def _terms_value(terms, point):
@@ -743,15 +762,15 @@ def _terms_value(terms, point):
 
 @settings(max_examples=400, deadline=None)
 @given(_diff_expressions(["x", "y", "z"]))
-def test_rational_agrees_with_polynomial_and_eval(expr):
-    """Where `polynomial` expands `expr`, `rational` gives the same terms
+def test_rational_agrees_with_linear_form_and_eval(expr):
+    """Where `linear_form` expands `expr`, `rational` gives the same terms
     over a constant; wherever `expr` evaluates exactly, numerator /
     denominator takes its value and poles is not zero, and wherever a
     divisor is zero, so is poles; and a divisor that expands to zero leaves
     `expr` nowhere exactly evaluable."""
     points = (FULL_BINDINGS, {"x": Fraction(-2), "y": Fraction(1, 3), "z": Fraction(0)})
     try:
-        numerator, denominator, poles = rational(expr, _OLD_MAX_POLY_DEGREE)
+        numerator, denominator, poles = rational(expr)
     except DivisionByZeroError:
         for point in points:
             with pytest.raises(ExprError):
@@ -760,7 +779,7 @@ def test_rational_agrees_with_polynomial_and_eval(expr):
     except ExprError:
         return
     try:
-        terms = polynomial(expr, _OLD_MAX_POLY_DEGREE)
+        terms = linear_form(expr)
     except ExprError:
         pass
     else:

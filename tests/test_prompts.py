@@ -192,6 +192,12 @@ def test_parse_exemplars_rejects_empty_and_malformed():
         parse_exemplars("=== QUESTION ===\nQ\n=== SOLUTION ===\n\n")
 
 
+def test_exemplar_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "exemplars.txt"
+    path.write_text("\ufeff" + GOOD_FILE, encoding="utf-8")
+    assert load_exemplars(path) == parse_exemplars(GOOD_FILE)
+
+
 def test_promptspec_checks_exemplar_scripts_by_variant(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text(

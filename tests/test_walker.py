@@ -7,11 +7,11 @@ reference raises, the same exception type and message, with two deliberate
 exceptions:
 
 - The walker finishes both operands of a node before the node acts.  The
-  ladders ran a Div's divisor and a Pow's exponent first, and `polynomial`
+  ladders ran a Div's divisor and a Pow's exponent first, and the expansion
   gave up on a non-constant or fractional exponent before running the base.
   So where more than one node would fail, the port raises the error of the
   first failing subtree in post-order (`_first_failure`).
-- `polynomial` folds a constant base with a constant fractional exponent
+- `linear_form` folds a constant base with a constant fractional exponent
   through `exact_power`, as `eval_exact` does, where the ladder raised
   NonLinearError; it keeps NonLinearError when `exact_power` refuses the
   power (no exact root, or an exponent or result over the size bounds).  The reference marks this one line (`fold_fractional`).
@@ -47,7 +47,6 @@ from declsolve.exprs import (
     free_vars,
     leaves,
     linear_form,
-    polynomial,
     postorder,
     render,
     substitute,
@@ -321,27 +320,27 @@ def test_substitute_free_vars_numerals_and_render_match_the_ladders(expr, replac
 
 
 @settings(max_examples=500, deadline=None)
-@given(trees(["x", "y"]), st.sampled_from([0, 1, 2, 32]))
-@example(Pow(Num(16), Num(Fraction(1, 2))), 1)  # folds to 4
-@example(Pow(Num(2), Num(Fraction(1, 2))), 1)  # no exact root
-@example(Pow(Num(1), Num(Fraction(1, 20_000))), 1)  # root degree over MAX_EXPONENT
-def test_polynomial_matches_the_ladder(expr, max_degree):
-    got = outcome(polynomial, expr, max_degree)
-    assert got == _first_failure(lambda e: old_polynomial(e, max_degree, True), expr)
+@given(trees(["x", "y"]))
+@example(Pow(Num(16), Num(Fraction(1, 2))))  # folds to 4
+@example(Pow(Num(2), Num(Fraction(1, 2))))  # no exact root
+@example(Pow(Num(1), Num(Fraction(1, 20_000))))  # root degree over MAX_EXPONENT
+def test_polynomial_matches_the_ladder(expr):
+    got = outcome(linear_form, expr)
+    assert got == _first_failure(lambda e: old_polynomial(e, 1, True), expr)
     # The fold is the only other change: where it acts, the ladder gave up
     # on a constant fractional power as non-polynomial.
-    before = _first_failure(lambda e: old_polynomial(e, max_degree), expr)
+    before = _first_failure(lambda e: old_polynomial(e, 1), expr)
     if got != before:
         assert before == _Raised((NonLinearError, "unsupported exponent"))
-        assert any(_is_constant_fractional_power(node, max_degree) for node in _subtrees(expr))
+        assert any(_is_constant_fractional_power(node) for node in _subtrees(expr))
 
 
-def _is_constant_fractional_power(node, max_degree):
+def _is_constant_fractional_power(node):
     """A Pow whose base and exponent expand to constants, the exponent not
     an integer."""
     if not isinstance(node, Pow):
         return False
-    base, exponent = (outcome(old_polynomial, e, max_degree) for e in (node.base, node.exponent))
+    base, exponent = (outcome(old_polynomial, e, 1) for e in (node.base, node.exponent))
     if isinstance(base, _Raised) or isinstance(exponent, _Raised) or _constant(base) is None:
         return False
     return _constant(exponent) is not None and _constant(exponent).denominator != 1
@@ -367,12 +366,12 @@ def test_polynomial_deviations():
     x = Var("x")
     # A non-constant exponent over a failing base: the base reports.
     bad_base = Pow(Div(Num(1), Num(0)), x)
-    assert outcome(polynomial, bad_base, 2) == _Raised((DivisionByZeroError, "division by zero"))
-    assert outcome(old_polynomial, bad_base, 2) == _Raised((NonLinearError, "unsupported exponent"))
+    assert outcome(linear_form, bad_base) == _Raised((DivisionByZeroError, "division by zero"))
+    assert outcome(old_polynomial, bad_base, 1) == _Raised((NonLinearError, "unsupported exponent"))
     # A constant fractional power folds when exact, and only then.
-    assert polynomial(x + Pow(Num(16), Num(Fraction(1, 2))), 1) == {(("x", 1),): 1, (): 4}
+    assert linear_form(x + Pow(Num(16), Num(Fraction(1, 2)))) == {(("x", 1),): 1, (): 4}
     for expr in (Pow(Num(2), Num(Fraction(1, 2))), Pow(Num(-4), Num(Fraction(1, 2))), Pow(x, Num(Fraction(1, 2)))):
-        assert outcome(polynomial, expr, 2) == _Raised((NonLinearError, "unsupported exponent"))
+        assert outcome(linear_form, expr) == _Raised((NonLinearError, "unsupported exponent"))
     assert linear_form(Num(16) ** Num(Fraction(1, 2)) * x) == {(("x", 1),): 4}
 
 
@@ -401,8 +400,7 @@ def test_deep_chains_are_walked_without_recursion(kind):
     assert free_vars(substituted) == set() and eval_exact(substituted) == expected
     coefficient = 2**DEPTH if kind is Mul else 1
     constant = {Add: DEPTH, Sub: -DEPTH, Mul: 0}[kind]
-    assert polynomial(expr, 1) == {(("x", 1),): coefficient} | ({(): constant} if constant else {})
-    assert linear_form(expr).get((), 0) == constant
+    assert linear_form(expr) == {(("x", 1),): coefficient} | ({(): constant} if constant else {})
     assert list(leaves(expr)[1]) == [leaf.value] * DEPTH
     symbol = {Add: "+", Sub: "-", Mul: "*"}[kind]
     assert render(expr) == "(" * DEPTH + "x" + f" {symbol} {leaf.value})" * DEPTH
